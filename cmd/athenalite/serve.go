@@ -16,6 +16,21 @@ import (
 	"repro/internal/tpcds"
 )
 
+// serveConfig is the engine `athenalite serve` runs: the paper's fusion
+// rules under every cross-query layer. Which layers are on is not a flag —
+// the benchmark (benchmark/stack.go) measures exactly this assembly.
+func serveConfig(window time.Duration, rescache, memLimit int64, spillDir string) engine.Config {
+	return engine.Config{
+		EnableFusion:     true,
+		ShareExec:        true,
+		AdmissionWindow:  window,
+		ShareScans:       true,
+		ResultCacheBytes: rescache,
+		MemoryLimitBytes: memLimit,
+		SpillDir:         spillDir,
+	}
+}
+
 // serveMain is `athenalite serve`: load the dataset once, open one resident
 // ShareExec engine, and put the multi-tenant service's wire front end on a
 // TCP address. SIGINT/SIGTERM triggers a graceful drain: queued and running
@@ -41,23 +56,16 @@ func serveMain(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cfg := engine.Config{
-		ShareExec:        true,
-		AdmissionWindow:  *window,
-		ShareScans:       true,
-		ResultCacheBytes: *rescache,
-	}
+	var spillDir string
 	if *memLimit > 0 {
-		cfg.MemoryLimitBytes = *memLimit
-		dir, err := os.MkdirTemp("", "athenalite-spill-")
+		spillDir, err = os.MkdirTemp("", "athenalite-spill-")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer os.RemoveAll(dir)
-		cfg.SpillDir = dir
+		defer os.RemoveAll(spillDir)
 	}
-	eng := engine.OpenWithStore(st, cfg)
+	eng := engine.OpenWithStore(st, serveConfig(*window, *rescache, *memLimit, spillDir))
 	srv := service.New(eng, service.Config{
 		QueueDepth:        *queueDepth,
 		TenantConcurrency: *tenantConc,

@@ -1,7 +1,8 @@
 // Command benchrunner regenerates the paper's evaluation artifacts:
 // Figure 1 (latency improvement per selected query), Figure 2 (fraction of
 // data read vs baseline), the whole-workload summary, and auxiliary
-// CPU/memory metrics.
+// CPU/memory metrics. Speed of the engine itself is measured over the wire
+// by benchmark/ (see benchmark/README.md), not here.
 //
 // Usage:
 //
@@ -9,7 +10,6 @@
 //	benchrunner -figure 1            # just Figure 1
 //	benchrunner -q q65,q09           # specific queries
 //	benchrunner -scale 0.5 -iters 5  # bigger data, steadier timings
-//	benchrunner -exec BENCH_exec.json  # row-at-a-time vs vectorized comparison
 package main
 
 import (
@@ -28,139 +28,17 @@ func main() {
 		iters  = flag.Int("iters", 3, "timing iterations per query per engine")
 		figure = flag.Int("figure", 0, "render only figure 1 or 2 (0 = everything)")
 		qlist  = flag.String("q", "", "comma-separated query names (default: whole workload)")
-
-		execOut       = flag.String("exec", "", "write a row-at-a-time vs vectorized execution comparison to this JSON file and exit")
-		aggOut        = flag.String("agg", "", "write a serial vs partition-wise parallel aggregation comparison to this JSON file and exit")
-		sharedOut     = flag.String("shared", "", "write a concurrent shared-vs-unshared scan comparison to this JSON file and exit")
-		spillOut      = flag.String("spill", "", "write an unlimited-vs-memory-budget spill comparison to this JSON file and exit")
-		maskOut       = flag.String("mask", "", "write a naive-vs-family mask kernel comparison to this JSON file and exit")
-		pipelineOut   = flag.String("pipeline", "", "write a pull-vs-push pipeline execution comparison to this JSON file and exit")
-		sharedExecOut = flag.String("sharedexec", "", "write a concurrent shared-execution vs independent-run comparison to this JSON file and exit")
-		serviceOut    = flag.String("service", "", "write a multi-tenant service vs no-queue baseline comparison to this JSON file and exit")
-		rescacheOut   = flag.String("rescache", "", "write a repeated-dashboard result-cache comparison to this JSON file and exit")
-		skipOut       = flag.String("skip", "", "write a data-skipping vs no-skip comparison to this JSON file and exit")
-		parallelism   = flag.Int("parallelism", 4, "workers for the parallel side of -exec/-agg/-shared")
-		batchSize     = flag.Int("batch", 1024, "rows per batch for the parallel side of -exec/-agg/-shared")
-		concurrency   = flag.Int("concurrency", 4, "concurrent query workers for -shared")
-		cacheBytes    = flag.Int64("scancache", 0, "decoded-chunk cache bound in bytes for -shared (0 = default)")
 	)
 	flag.Parse()
 
-	if *execOut != "" {
-		runExecComparison(*execOut, bench.ExecOptions{
-			Scale: *scale, Seed: *seed, Iterations: *iters,
-			Parallelism: *parallelism, BatchSize: *batchSize,
-			Queries: splitList(*qlist),
-		})
-		return
-	}
-	if *aggOut != "" {
-		runAggComparison(*aggOut, bench.AggOptions{
-			Scale: *scale, Seed: *seed, Iterations: *iters,
-			Parallelism: *parallelism, BatchSize: *batchSize,
-			Queries: splitList(*qlist),
-		})
-		return
-	}
-	if *spillOut != "" {
-		runSpillComparison(*spillOut, bench.SpillOptions{
-			Scale: *scale, Seed: *seed, Iterations: *iters,
-			Parallelism: *parallelism, BatchSize: *batchSize,
-			Queries: splitList(*qlist),
-		})
-		return
-	}
-	if *maskOut != "" {
-		runMaskComparison(*maskOut, bench.MaskOptions{
-			Scale: *scale, Seed: *seed, Iterations: *iters,
-			Parallelism: *parallelism, BatchSize: *batchSize,
-			Queries: splitList(*qlist),
-		})
-		return
-	}
-	if *pipelineOut != "" {
-		// -pipeline defaults parallelism to the hardware's (see
-		// bench.DefaultPipelineOptions) unless the flag was set explicitly —
-		// the other comparisons' fixed default of 4 would measure scheduler
-		// thrash on smaller machines.
-		par := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "parallelism" {
-				par = *parallelism
-			}
-		})
-		runPipelineComparison(*pipelineOut, bench.PipelineOptions{
-			Scale: *scale, Seed: *seed, Iterations: *iters,
-			Parallelism: par, BatchSize: *batchSize,
-			Queries: splitList(*qlist),
-		})
-		return
-	}
-	if *sharedExecOut != "" {
-		// -sharedexec uses the testgen catalog (the shared-execution
-		// differential's store) rather than TPC-DS: the wave queries are
-		// generated per client count, so -q does not apply.
-		opts := bench.DefaultSharedExecOptions()
-		opts.Seed = *seed
-		opts.Iterations = *iters
-		opts.Parallelism = *parallelism
-		opts.BatchSize = *batchSize
-		runSharedExecComparison(*sharedExecOut, opts)
-		return
-	}
-	if *serviceOut != "" {
-		// -service also uses the testgen catalog: the mixed-tenant query
-		// list is generated per connection, so -q does not apply.
-		opts := bench.DefaultServiceOptions()
-		opts.Seed = *seed
-		opts.Iterations = *iters
-		opts.Parallelism = *parallelism
-		opts.BatchSize = *batchSize
-		runServiceComparison(*serviceOut, opts)
-		return
-	}
-	if *rescacheOut != "" {
-		// -rescache uses a fixed dashboard query set over TPC-DS tables, so
-		// -q does not apply; -iters maps to refresh waves.
-		opts := bench.DefaultRescacheOptions()
-		opts.Scale = *scale
-		opts.Seed = *seed
-		opts.Parallelism = *parallelism
-		opts.BatchSize = *batchSize
-		if *iters > 1 {
-			opts.Waves = *iters
-		}
-		runRescacheComparison(*rescacheOut, opts)
-		return
-	}
-	if *skipOut != "" {
-		// -skip uses a dedicated clustered store (zone maps cannot prune a
-		// uniformly random layout), so -scale and -q do not apply.
-		opts := bench.DefaultSkipOptions()
-		opts.Seed = *seed
-		opts.Iterations = *iters
-		opts.Parallelism = *parallelism
-		opts.BatchSize = *batchSize
-		runSkipComparison(*skipOut, opts)
-		return
-	}
-	if *sharedOut != "" {
-		runSharedComparison(*sharedOut, bench.SharedOptions{
-			Scale: *scale, Seed: *seed, Iterations: *iters,
-			Parallelism: *parallelism, BatchSize: *batchSize,
-			Concurrency: *concurrency, CacheBytes: *cacheBytes,
-			Queries: splitList(*qlist),
-		})
-		return
-	}
-
 	opts := bench.Options{Scale: *scale, Seed: *seed, Iterations: *iters}
+	label := "the full workload"
 	if *qlist != "" {
 		opts.Queries = strings.Split(*qlist, ",")
+		label = strings.Join(opts.Queries, ", ")
 	}
 
-	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and running %s...\n",
-		*scale, queriesLabel(opts.Queries))
+	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and running %s...\n", *scale, label)
 	report, err := bench.Run(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
@@ -183,243 +61,4 @@ func main() {
 		fmt.Println()
 		report.WriteSummary(os.Stdout)
 	}
-}
-
-func runExecComparison(path string, opts bench.ExecOptions) {
-	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and comparing execution models on %s...\n",
-		opts.Scale, queriesLabel(opts.Queries))
-	cmp, err := bench.RunExecComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runAggComparison(path string, opts bench.AggOptions) {
-	if len(opts.Queries) == 0 {
-		opts.Queries = bench.DefaultAggQueries
-	}
-	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and comparing aggregation parallelism on %s...\n",
-		opts.Scale, queriesLabel(opts.Queries))
-	cmp, err := bench.RunAggComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runSharedComparison(path string, opts bench.SharedOptions) {
-	if len(opts.Queries) == 0 {
-		opts.Queries = bench.DefaultSharedQueries
-	}
-	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and comparing %d concurrent workers with scan sharing off/on over %s...\n",
-		opts.Scale, opts.Concurrency, queriesLabel(opts.Queries))
-	cmp, err := bench.RunSharedComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runSharedExecComparison(path string, opts bench.SharedExecOptions) {
-	fmt.Fprintf(os.Stderr, "generating %d fact rows and comparing waves of %v concurrent clients with shared execution off/on...\n",
-		opts.Rows, opts.Clients)
-	cmp, err := bench.RunSharedExecComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runRescacheComparison(path string, opts bench.RescacheOptions) {
-	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and refreshing the dashboard %d times with the result cache off and on...\n",
-		opts.Scale, opts.Waves)
-	cmp, err := bench.RunRescacheComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runSkipComparison(path string, opts bench.SkipOptions) {
-	fmt.Fprintf(os.Stderr, "generating %d clustered fact rows and comparing data skipping off and on over the selective and join waves...\n",
-		opts.Rows)
-	cmp, err := bench.RunSkipComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runServiceComparison(path string, opts bench.ServiceOptions) {
-	fmt.Fprintf(os.Stderr, "generating %d fact rows and comparing %v client connections through the service vs a no-queue baseline...\n",
-		opts.Rows, opts.Connections)
-	cmp, err := bench.RunServiceComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runMaskComparison(path string, opts bench.MaskOptions) {
-	if len(opts.Queries) == 0 {
-		opts.Queries = bench.DefaultMaskQueries
-	}
-	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and comparing naive vs mask-family evaluation on %s...\n",
-		opts.Scale, queriesLabel(opts.Queries))
-	cmp, err := bench.RunMaskComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runPipelineComparison(path string, opts bench.PipelineOptions) {
-	if len(opts.Queries) == 0 {
-		opts.Queries = bench.DefaultPipelineQueries
-	}
-	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and comparing pull vs push pipeline execution on %s...\n",
-		opts.Scale, queriesLabel(opts.Queries))
-	cmp, err := bench.RunPipelineComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func runSpillComparison(path string, opts bench.SpillOptions) {
-	if len(opts.Queries) == 0 {
-		opts.Queries = bench.DefaultSpillQueries
-	}
-	fmt.Fprintf(os.Stderr, "generating TPC-DS data at scale %.2f and comparing unlimited vs budgeted memory on %s...\n",
-		opts.Scale, queriesLabel(opts.Queries))
-	cmp, err := bench.RunSpillComparison(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := cmp.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(1)
-	}
-	cmp.WriteTable(os.Stdout)
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
-}
-
-func queriesLabel(qs []string) string {
-	if len(qs) == 0 {
-		return "the full workload"
-	}
-	return strings.Join(qs, ", ")
 }

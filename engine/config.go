@@ -31,8 +31,8 @@ type Config struct {
 	// merge their per-worker state back in the serial engine's order.
 	Parallelism int
 	// BatchSize is the number of rows per execution batch. <= 0 means the
-	// default (1024); 1 degenerates to row-at-a-time execution, which is
-	// useful for benchmarking the vectorization gain in isolation.
+	// default (1024); 1 degenerates to row-at-a-time execution, the
+	// reference shape every differential test compares against.
 	BatchSize int
 	// ShareScans opts this engine's queries into cross-query scan sharing:
 	// concurrent queries over the same partitions of the same store share
@@ -60,14 +60,6 @@ type Config struct {
 	// Empty means os.TempDir(). Files are temp-named, crash-safe to leave
 	// behind, and removed when the owning query finishes or is abandoned.
 	SpillDir string
-	// NaiveMasks disables the mask-family kernel: filter predicates and
-	// aggregation FILTER masks are evaluated as independent per-expression
-	// value vectors instead of factored bitmap families. Results are
-	// identical either way — this is the validation baseline the mask
-	// differential tests and `benchrunner -mask` compare against, not a
-	// tuning knob. Needs no normalization (false is the default and the
-	// fast path).
-	NaiveMasks bool
 	// ShareExec opts this engine's queries into cross-query shared
 	// execution (internal/xfuse): concurrently arriving queries with
 	// fusable plan shapes are held in an AdmissionWindow-long batch, fused
@@ -99,25 +91,15 @@ type Config struct {
 	// caching query against a store fixes its size. 0 disables the cache
 	// (the default; no normalization needed).
 	ResultCacheBytes int64
-	// PullExec disables push-based pipeline fusion: fusible
-	// Scan→Filter→Project chains run as pull iterators with dense
-	// projection materialization instead of compiled push loops, and the
-	// scalar-aggregation and sort-run pipeline sinks stay serial. Results
-	// are identical either way — this is the validation baseline the
-	// pipeline differential tests and `benchrunner -pipeline` compare
-	// against, not a tuning knob. Needs no normalization (false is the
-	// default and the fast path).
-	PullExec bool
-	// NoSkip disables data skipping: scan leaves decode every surviving
-	// partition instead of pruning chunks whose zone maps (write-time
-	// min/max/null-count stats) prove the predicate — or a hash join's
-	// sideways build-key filter — can match no row. Results and logical
-	// metrics (bytes scanned, rows processed) are identical either way;
-	// Metrics.Skip tells the physical story. This is the validation baseline
-	// the skip differential tests and `benchrunner -skip` compare against,
-	// not a tuning knob. Needs no normalization (false is the default and
-	// the fast path).
-	NoSkip bool
+
+	// naiveMasks, pullExec and noSkip select the reference twin of the
+	// mask-family kernel (per-expression value vectors), of push-based
+	// pipeline fusion (pull iterators, serial sinks) and of data skipping
+	// (decode every surviving partition). Rows and logical metrics are
+	// identical either way; the twins exist so the differential matrix in
+	// this package can compare against them, which is why only in-package
+	// tests can set them.
+	naiveMasks, pullExec, noSkip bool
 }
 
 // normalize resolves every defaulted Config field to its effective value.

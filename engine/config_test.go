@@ -2,6 +2,7 @@ package engine
 
 import (
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -83,5 +84,27 @@ func TestOpenUsesNormalizedConfig(t *testing.T) {
 	}
 	if eng.mempool.SpillDir() != os.TempDir() {
 		t.Errorf("pool spill dir = %q, want %q", eng.mempool.SpillDir(), os.TempDir())
+	}
+}
+
+// TestConfigExportedFields pins Config's public surface: every exported
+// field is an option callers can set and tests and benchmarks must cover,
+// so growing the list (a reference twin's switch, say — those are the
+// unexported fields) has to be a decision made here.
+func TestConfigExportedFields(t *testing.T) {
+	want := []string{
+		"EnableFusion", "EnableSpooling", "Parallelism", "BatchSize",
+		"ShareScans", "ScanCacheBytes", "MemoryLimitBytes", "SpillDir",
+		"ShareExec", "AdmissionWindow", "MaxFusedQueries", "ResultCacheBytes",
+	}
+	var got []string
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Config exports %v, want %v", got, want)
 	}
 }

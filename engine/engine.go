@@ -159,9 +159,9 @@ func (e *Engine) execOptionsAs(sqlText, tenant string) exec.Options {
 		Workers:        e.workers,
 		Tenant:         tenant,
 		QueryText:      sqlText,
-		NaiveMasks:     e.config.NaiveMasks,
-		PullExec:       e.config.PullExec,
-		NoSkip:         e.config.NoSkip,
+		NaiveMasks:     e.config.naiveMasks,
+		PullExec:       e.config.pullExec,
+		NoSkip:         e.config.noSkip,
 
 		ResultCacheBytes: e.config.ResultCacheBytes,
 	}

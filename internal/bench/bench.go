@@ -136,11 +136,6 @@ type Options struct {
 	Queries []string
 }
 
-// DefaultOptions is suitable for regenerating the figures in a few seconds.
-func DefaultOptions() Options {
-	return Options{Scale: 0.2, Seed: 42, Iterations: 3}
-}
-
 // Run executes the workload and returns the comparison report.
 func Run(opts Options) (*WorkloadReport, error) {
 	if opts.Iterations <= 0 {

@@ -86,12 +86,12 @@ type Options struct {
 	// NaiveMasks disables the mask-family kernel: filter predicates and
 	// aggregation FILTER masks fall back to independent per-expression batch
 	// evaluators. Results are identical either way — this is the
-	// differential-validation and benchmarking baseline, not a tuning knob.
+	// differential-validation reference, not a tuning knob.
 	NaiveMasks bool
 	// PullExec disables push-based pipeline fusion: every operator runs as
 	// its own pull iterator with per-boundary batch materialization, exactly
 	// the pre-fusion execution model. Results are identical either way —
-	// this is the differential-validation and benchmarking baseline.
+	// this is the differential-validation reference.
 	PullExec bool
 	// SharedClients, when > 1, marks this run as a cross-query fused plan
 	// executed once on behalf of that many concurrent clients
@@ -112,7 +112,7 @@ type Options struct {
 	// NoSkip disables zone-map chunk pruning and sideways join filters:
 	// every chunk is decoded, exactly the pre-skipping execution model.
 	// Results and logical metrics are identical either way — this is the
-	// differential-validation and benchmarking baseline.
+	// differential-validation reference.
 	NoSkip bool
 }
 
