@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/testgen"
 	"repro/internal/tpcds"
@@ -92,6 +93,10 @@ type diffCounts struct {
 	spilledGroupBy int64 // MemOperators["groupby"].SpilledBytes
 	spilledSort    int64 // MemOperators["sort"].SpilledBytes
 	forced         int   // queries whose memory limit had to force a spill
+	// exec.CompileStats deltas around the candidate runs: comparison-leaf
+	// groups and leaves compiled, and leaf blocks the typed kernels handed
+	// back to the generic loop.
+	cmpGroups, cmpLeaves, cmpReruns int64
 }
 
 // diffRow is one feature's differential.
@@ -135,6 +140,12 @@ var (
 			// builds (Q09/Q28/Q88-class).
 			if corpus == "tpcds" && fusion && n.engaged == 0 {
 				t.Fatalf("no mask-family prefix hits — the factored path is not engaging")
+			}
+			// The sibling literals fusion builds share column passes, and no
+			// TPC-DS column sends the typed kernels back to types.Compare: the
+			// fast path must not quietly become the fallback.
+			if corpus == "tpcds" && fusion && (n.cmpLeaves <= n.cmpGroups || n.cmpReruns != 0) {
+				t.Fatalf("comparison leaves: %d groups, %d leaves, %d generic re-runs — want leaves > groups and no re-runs", n.cmpGroups, n.cmpLeaves, n.cmpReruns)
 			}
 		}}
 	pipelineRow = diffRow{name: "pipeline", seeds: 60, shapes: maskConfigs, revalidate: true,
@@ -293,7 +304,9 @@ func runDiffRow(t *testing.T, row diffRow, c diffCase, totals *[2]diffCounts) {
 				if sh.spill {
 					shapeLimit = limit
 				}
+				before := exec.CompileStats()
 				res := diffCompare(t, desc, c, ref, cfg, shapeLimit, mustSpill)
+				after := exec.CompileStats()
 				var engaged int64
 				if row.engaged != nil {
 					engaged = row.engaged(&res.Metrics)
@@ -305,6 +318,9 @@ func runDiffRow(t *testing.T, row diffRow, c diffCase, totals *[2]diffCounts) {
 					continue
 				}
 				n.engaged += engaged
+				n.cmpGroups += after.CompareGroups - before.CompareGroups
+				n.cmpLeaves += after.CompareLeaves - before.CompareLeaves
+				n.cmpReruns += after.CompareGenericReruns - before.CompareGenericReruns
 				n.saved += res.Metrics.Pipeline.MaterializedBatchesSaved
 				n.spilledGroupBy += res.Metrics.MemOperators["groupby"].SpilledBytes
 				n.spilledSort += res.Metrics.MemOperators["sort"].SpilledBytes

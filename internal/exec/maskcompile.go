@@ -42,12 +42,26 @@ func (ev *maskEvaluator) eval(b *vec.Batch) *vec.Bitmap {
 }
 
 // compileBitmapExpr lowers a boolean expression into a bitmap-producing
-// closure. Boolean structure (AND/OR/NOT, IS NULL, comparisons against
-// literals or other columns) is compiled natively — intermediates are
-// bit-planes combined with word kernels instead of []types.Value vectors.
+// closure that owns a private comparison-leaf table, for callers that
+// evaluate it on its own (a mask family's residuals share one table instead:
+// see maskFamilySpec.instantiate).
+func compileBitmapExpr(e expr.Expr, layout map[expr.ColumnID]int) (bitmapFn, error) {
+	t := &cmpTable{}
+	fn, err := t.compile(e, layout)
+	if err != nil {
+		return nil, err
+	}
+	return t.bind(fn), nil
+}
+
+// compile lowers a boolean expression into a bitmap-producing closure.
+// Boolean structure (AND/OR/NOT, IS NULL, comparisons against literals or
+// other columns) is compiled natively — intermediates are bit-planes
+// combined with word kernels instead of []types.Value vectors, and
+// comparisons against numeric, date and boolean literals become leaves of t.
 // Anything else routes through compileBatchExpr and converts the value
 // vector once at the boundary, so coverage matches the value engine.
-func compileBitmapExpr(e expr.Expr, layout map[expr.ColumnID]int) (bitmapFn, error) {
+func (t *cmpTable) compile(e expr.Expr, layout map[expr.ColumnID]int) (bitmapFn, error) {
 	switch x := e.(type) {
 	case *expr.Literal:
 		v := x.Val
@@ -89,7 +103,7 @@ func compileBitmapExpr(e expr.Expr, layout map[expr.ColumnID]int) (bitmapFn, err
 		}, nil
 
 	case *expr.Not:
-		inner, err := compileBitmapExpr(x.E, layout)
+		inner, err := t.compile(x.E, layout)
 		if err != nil {
 			return nil, err
 		}
@@ -130,11 +144,11 @@ func compileBitmapExpr(e expr.Expr, layout map[expr.ColumnID]int) (bitmapFn, err
 		case x.Op == expr.OpAnd:
 			// Conjuncts drops TRUE literals; an empty list means the AND is
 			// vacuously TRUE.
-			return compileBitmapNary(expr.Conjuncts(x), layout, (*vec.Bitmap).AndWith, true)
+			return t.compileNary(expr.Conjuncts(x), layout, (*vec.Bitmap).AndWith, true)
 		case x.Op == expr.OpOr:
-			return compileBitmapNary(expr.Disjuncts(x), layout, (*vec.Bitmap).OrWith, false)
+			return t.compileNary(expr.Disjuncts(x), layout, (*vec.Bitmap).OrWith, false)
 		case x.Op.IsComparison():
-			if fn := compileBitmapCmpColLit(x, layout); fn != nil {
+			if fn := t.cmpColLit(x, layout); fn != nil {
 				return fn, nil
 			}
 			if fn := compileBitmapCmpColCol(x, layout); fn != nil {
@@ -149,10 +163,10 @@ func compileBitmapExpr(e expr.Expr, layout map[expr.ColumnID]int) (bitmapFn, err
 	}
 }
 
-// compileBitmapNary folds a flattened AND/OR operand list with a Kleene
-// word kernel: the first operand evaluates into out, the rest into a
-// scratch bitmap merged in.
-func compileBitmapNary(parts []expr.Expr, layout map[expr.ColumnID]int, merge func(*vec.Bitmap, *vec.Bitmap), empty bool) (bitmapFn, error) {
+// compileNary folds a flattened AND/OR operand list with a Kleene word
+// kernel: the first operand evaluates into out, the rest into a scratch
+// bitmap merged in.
+func (t *cmpTable) compileNary(parts []expr.Expr, layout map[expr.ColumnID]int, merge func(*vec.Bitmap, *vec.Bitmap), empty bool) (bitmapFn, error) {
 	if len(parts) == 0 {
 		return func(b *vec.Batch, out *vec.Bitmap) {
 			out.Reset(b.Len())
@@ -164,7 +178,7 @@ func compileBitmapNary(parts []expr.Expr, layout map[expr.ColumnID]int, merge fu
 	fns := make([]bitmapFn, len(parts))
 	for i, p := range parts {
 		var err error
-		if fns[i], err = compileBitmapExpr(p, layout); err != nil {
+		if fns[i], err = t.compile(p, layout); err != nil {
 			return nil, err
 		}
 	}
@@ -178,8 +192,10 @@ func compileBitmapNary(parts []expr.Expr, layout map[expr.ColumnID]int, merge fu
 	}, nil
 }
 
-// compileBitmapCmpColLit is the bit-producing twin of compileCmpColLit.
-func compileBitmapCmpColLit(x *expr.Binary, layout map[expr.ColumnID]int) bitmapFn {
+// cmpColLit is the bit-producing twin of compileCmpColLit. Numeric,
+// date and boolean literals become leaves of t; NULL and string literals
+// need no table.
+func (t *cmpTable) cmpColLit(x *expr.Binary, layout map[expr.ColumnID]int) bitmapFn {
 	op := x.Op
 	cr, crOK := x.L.(*expr.ColumnRef)
 	lit, litOK := x.R.(*expr.Literal)
@@ -201,6 +217,9 @@ func compileBitmapCmpColLit(x *expr.Binary, layout map[expr.ColumnID]int) bitmap
 			out.Reset(b.Len())
 			out.FillNull()
 		}
+	}
+	if c.Kind != types.KindString {
+		return t.leaf(idx, op, c)
 	}
 	return func(b *vec.Batch, out *vec.Bitmap) {
 		col := b.Cols[idx]
@@ -225,7 +244,9 @@ func compileBitmapCmpColLit(x *expr.Binary, layout map[expr.ColumnID]int) bitmap
 	}
 }
 
-// compileBitmapCmpColCol is the bit-producing twin of compileCmpColCol.
+// compileBitmapCmpColCol is the bit-producing twin of compileCmpColCol: both
+// columns are unboxed a block at a time and compared with the loops the
+// comparison leaves use, under the same kind rules.
 func compileBitmapCmpColCol(x *expr.Binary, layout map[expr.ColumnID]int) bitmapFn {
 	lcr, lok := x.L.(*expr.ColumnRef)
 	rcr, rok := x.R.(*expr.ColumnRef)
@@ -241,27 +262,23 @@ func compileBitmapCmpColCol(x *expr.Binary, layout map[expr.ColumnID]int) bitmap
 		return nil
 	}
 	op := x.Op
+	loop, inv := cmpKernel(op)
 	return func(b *vec.Batch, out *vec.Bitmap) {
 		lcol, rcol := b.Cols[li], b.Cols[ri]
-		out.Reset(b.Len())
-		if b.Sel == nil {
-			for i := 0; i < out.Len(); i++ {
-				lv, rv := lcol[i], rcol[i]
-				if lv.Null || rv.Null {
-					out.SetNull(i)
-				} else if compareSatisfies(op, types.Compare(lv, rv)) {
-					out.SetTrue(i)
-				}
+		n := b.Len()
+		out.Reset(n)
+		var l, r cmpBlock
+		for base, wi := 0, 0; base < n; base, wi = base+64, wi+1 {
+			m := min(64, n-base)
+			l.load(lcol, b.Sel, base, m)
+			r.load(rcol, b.Sel, base, m)
+			w, ok := cmpWordBlocks(loop, &l, &r)
+			if !ok {
+				w = cmpWordGeneric(op, lcol, rcol, types.Value{}, b.Sel, base, m)
+			} else if inv {
+				w = ^w
 			}
-			return
-		}
-		for i, r := range b.Sel {
-			lv, rv := lcol[r], rcol[r]
-			if lv.Null || rv.Null {
-				out.SetNull(i)
-			} else if compareSatisfies(op, types.Compare(lv, rv)) {
-				out.SetTrue(i)
-			}
+			out.SetWord(wi, w, l.nulls|r.nulls)
 		}
 	}
 }

@@ -13,9 +13,18 @@ import (
 // compilation plus scratch). Parallel sinks share one spec across all
 // their workers, so factorings must stay independent of Parallelism —
 // the compile-count assertion tests read these through CompileStats.
+//
+// cmpGroupsBuilt and cmpLeavesBuilt count the column groups and distinct
+// `col OP literal` leaves registered in comparison-leaf tables at compile
+// time; cmpGenericReruns counts (block, leaf) pairs the typed kernels handed
+// back to types.Compare at run time. Leaves well above groups with zero
+// re-runs is what "siblings share one column pass" looks like.
 var (
 	familyFactorings     atomic.Int64
 	familyInstantiations atomic.Int64
+	cmpGroupsBuilt       atomic.Int64
+	cmpLeavesBuilt       atomic.Int64
+	cmpGenericReruns     atomic.Int64
 )
 
 // CompileCounters is a snapshot of the process-wide expression-compilation
@@ -29,6 +38,12 @@ type CompileCounters struct {
 	// (closure compilation and scratch; these legitimately scale with
 	// worker count because compiled kernels own scratch state).
 	MaskFamilyInstantiations int64
+	// CompareGroups and CompareLeaves count comparison-leaf table columns
+	// and distinct leaves compiled; CompareGenericReruns counts 64-row
+	// leaf evaluations that fell back to the row-at-a-time generic loop.
+	CompareGroups        int64
+	CompareLeaves        int64
+	CompareGenericReruns int64
 }
 
 // CompileStats returns the current compilation counters.
@@ -36,6 +51,9 @@ func CompileStats() CompileCounters {
 	return CompileCounters{
 		MaskFamilyFactorings:     familyFactorings.Load(),
 		MaskFamilyInstantiations: familyInstantiations.Load(),
+		CompareGroups:            cmpGroupsBuilt.Load(),
+		CompareLeaves:            cmpLeavesBuilt.Load(),
+		CompareGenericReruns:     cmpGenericReruns.Load(),
 	}
 }
 
@@ -79,6 +97,11 @@ type maskFamily struct {
 	// common case in multi-way fusions; each is evaluated once per batch
 	// instead of residShare times.
 	residShare []int
+	// residCmp is the comparison-leaf table every residual compiles into:
+	// residuals all see the same (sub-)batch, so sibling literals on one
+	// column share its unboxing. Each prefix conjunct sees a different,
+	// narrower selection and so owns a private table.
+	residCmp cmpTable
 
 	// scratch, reused across batches
 	condBm      vec.Bitmap
@@ -193,7 +216,7 @@ func (sp *maskFamilySpec) instantiate() (*maskFamily, error) {
 		mf.prefixFns = append(mf.prefixFns, fn)
 	}
 	for _, e := range sp.residExprs {
-		fn, err := compileBitmapExpr(e, sp.layout)
+		fn, err := mf.residCmp.compile(e, sp.layout)
 		if err != nil {
 			return nil, err
 		}
@@ -280,6 +303,7 @@ func (mf *maskFamily) eval(b *vec.Batch) []*vec.Bitmap {
 			mf.prefixHits += int64(share-1) * int64(survivors)
 		}
 	}
+	mf.residCmp.invalidate()
 	for ri := range mf.residFns {
 		rt := &mf.residTruth[ri]
 		if prefixAll {

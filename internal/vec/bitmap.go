@@ -48,6 +48,22 @@ func (bm *Bitmap) SetTrue(i int) { bm.words[i>>6] |= 1 << (uint(i) & 63) }
 // SetNull marks row i NULL. The row must not already be TRUE.
 func (bm *Bitmap) SetNull(i int) { bm.nullWords[i>>6] |= 1 << (uint(i) & 63) }
 
+// SetWord stores both planes of rows [64·wi, 64·wi+64) at once: bit j of
+// truth marks row 64·wi+j TRUE, bit j of null marks it NULL. It is how block
+// kernels write 64 results with two stores instead of 64 read-modify-writes.
+// The Bitmap's invariants are enforced here, not by the caller: a row marked
+// both ways lands NULL, and bits past the last row are dropped from both
+// planes (Count, AppendTrue and Not rely on a zero tail).
+func (bm *Bitmap) SetWord(wi int, truth, null uint64) {
+	if wi == len(bm.words)-1 {
+		m := bm.tailMask()
+		truth &= m
+		null &= m
+	}
+	bm.words[wi] = truth &^ null
+	bm.nullWords[wi] = null
+}
+
 // True reports whether row i is TRUE (not FALSE, not NULL).
 func (bm *Bitmap) True(i int) bool { return bm.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 

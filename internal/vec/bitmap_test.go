@@ -207,3 +207,62 @@ func TestBitmapAppendTrue(t *testing.T) {
 		}
 	}
 }
+
+// TestBitmapSetWord writes whole words against the tri-state model. The
+// caller is deliberately sloppy — every row's truth bit carries a random
+// value under a NULL, and every bit past the last row is set in both planes
+// — because SetWord, not the kernel calling it, owns the invariants.
+func TestBitmapSetWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range bitmapSizes {
+		vals := randomTri(rng, n)
+		bm := &Bitmap{}
+		bm.Reset(n)
+		bm.FillTrue() // stale contents must be overwritten, not merged
+		for wi := 0; wi < wordsFor(n); wi++ {
+			var truth, null uint64
+			for j := 0; j < 64; j++ {
+				i := wi<<6 + j
+				switch {
+				case i >= n:
+					truth |= 1 << uint(j)
+					null |= 1 << uint(j)
+				case vals[i] == triTrue:
+					truth |= 1 << uint(j)
+				case vals[i] == triNull:
+					null |= 1 << uint(j)
+					truth |= uint64(rng.Intn(2)) << uint(j)
+				}
+			}
+			bm.SetWord(wi, truth, null)
+		}
+		wantTrue, wantFalse := 0, 0
+		for i, v := range vals {
+			if got := triAt(bm, i); got != v {
+				t.Fatalf("n=%d row %d: got %v want %v", n, i, got, v)
+			}
+			switch v {
+			case triTrue:
+				wantTrue++
+			case triFalse:
+				wantFalse++
+			}
+		}
+		if n > 0 {
+			last, m := wordsFor(n)-1, bm.tailMask()
+			if bm.words[last]&^m != 0 || bm.nullWords[last]&^m != 0 {
+				t.Fatalf("n=%d: tail bits survive (truth %x, null %x)", n, bm.words[last]&^m, bm.nullWords[last]&^m)
+			}
+		}
+		if got := bm.Count(); got != wantTrue {
+			t.Fatalf("n=%d Count %d want %d", n, got, wantTrue)
+		}
+		if got := len(bm.AppendTrue(nil)); got != wantTrue {
+			t.Fatalf("n=%d AppendTrue len %d want %d", n, got, wantTrue)
+		}
+		bm.Not()
+		if got := bm.Count(); got != wantFalse {
+			t.Fatalf("n=%d Count after Not %d want %d", n, got, wantFalse)
+		}
+	}
+}
