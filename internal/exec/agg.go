@@ -55,6 +55,23 @@ func (s *aggState) add(fn expr.AggFunc, v types.Value) {
 	}
 }
 
+// addAll folds one aggregate's batch input into a single group's state:
+// vals when the aggregate has an argument, count argument-less additions
+// (COUNT(*)) otherwise. It is the whole accumulate step of every
+// single-group consumer — the keyed accumulator's scalar mode and the
+// parallel sink's partials.
+func (s *aggState) addAll(fn expr.AggFunc, vals []types.Value, count int) {
+	if vals == nil {
+		for j := 0; j < count; j++ {
+			s.add(fn, types.Value{})
+		}
+		return
+	}
+	for j := range vals {
+		s.add(fn, vals[j])
+	}
+}
+
 func (s *aggState) result(agg expr.AggCall) types.Value {
 	switch agg.Fn {
 	case expr.AggCountStar, expr.AggCount:
@@ -128,70 +145,144 @@ func (s *aggState) merge(fn expr.AggFunc, o *aggState) {
 	}
 }
 
-// compiledAgg is an aggregate with a bound argument evaluator and an index
-// into the shared distinct-mask table (-1 = no mask).
+// compiledAgg is an aggregate with its index into the shared distinct-mask
+// table (-1 = no mask) and whether it is orderSensitive.
 type compiledAgg struct {
-	agg     expr.AggCall
-	arg     *evaluator
-	maskIdx int
+	agg       expr.AggCall
+	maskIdx   int
+	sensitive bool
 }
 
 // compiledAggs shares mask evaluation across aggregates: structurally
 // equivalent masks (common when many FILTERed aggregates fuse over one
-// input, as in Q09's buckets) are evaluated once per row.
+// input, as in Q09's buckets) are evaluated once per batch. It is
+// immutable after compileAggs and shared by every worker of an operator.
 type compiledAggs struct {
 	aggs    []compiledAgg
-	masks   []*evaluator
 	maskAst []expr.Expr
-	results []bool // per-row scratch, reused
 }
 
-func compileAggs(aggs []logical.AggAssign, layout map[expr.ColumnID]int) (*compiledAggs, error) {
+func compileAggs(aggs []logical.AggAssign) *compiledAggs {
 	out := &compiledAggs{aggs: make([]compiledAgg, len(aggs))}
-	// Masks dedup by canonical form: `a AND b` and `b AND a` share one
-	// evaluator and one slot in the mask family. The canonical AST is what
-	// gets compiled — Simplify/normalize preserve three-valued semantics,
-	// and the conjunct order it fixes is the order the family factors on.
+	// Masks dedup by canonical form: `a AND b` and `b AND a` share one slot
+	// in the mask set. The canonical AST is what gets compiled —
+	// Simplify/normalize preserve three-valued semantics, and the conjunct
+	// order it fixes is the order the family factors on.
 	maskSlot := make(map[string]int)
 	for i, a := range aggs {
-		ca := compiledAgg{agg: a.Agg, maskIdx: -1}
-		var err error
-		if a.Agg.Arg != nil {
-			if ca.arg, err = newEvaluator(a.Agg.Arg, layout); err != nil {
-				return nil, err
-			}
-		}
+		ca := compiledAgg{agg: a.Agg, maskIdx: -1, sensitive: orderSensitive(a.Agg)}
 		if a.Agg.Mask != nil && !expr.IsTrueLiteral(a.Agg.Mask) {
-			canon := expr.Canonical(a.Agg.Mask)
-			if expr.IsTrueLiteral(canon) {
-				// The mask folds to TRUE: the aggregate is unmasked.
-				out.aggs[i] = ca
-				continue
-			}
-			found, ok := maskSlot[canon.String()]
-			if !ok {
-				ev, err := newEvaluator(canon, layout)
-				if err != nil {
-					return nil, err
+			// A mask that folds to TRUE leaves the aggregate unmasked.
+			if canon := expr.Canonical(a.Agg.Mask); !expr.IsTrueLiteral(canon) {
+				key := canon.String()
+				found, ok := maskSlot[key]
+				if !ok {
+					found = len(out.maskAst)
+					out.maskAst = append(out.maskAst, canon)
+					maskSlot[key] = found
 				}
-				out.masks = append(out.masks, ev)
-				out.maskAst = append(out.maskAst, canon)
-				found = len(out.masks) - 1
-				maskSlot[canon.String()] = found
+				ca.maskIdx = found
 			}
-			ca.maskIdx = found
 		}
 		out.aggs[i] = ca
 	}
-	out.results = make([]bool, len(out.masks))
-	return out, nil
+	return out
 }
 
-// evalMasks evaluates each distinct mask once for the row.
-func (ca *compiledAggs) evalMasks(row Row) {
-	for i, ev := range ca.masks {
-		ca.results[i] = ev.eval(row).IsTrue()
+// aggInputSpec is the goroutine-shareable half of an aggregation's input:
+// the compiled aggregates, the layout their arguments bind to, and the
+// mask-set spec of the distinct FILTER masks (whose factoring every
+// instantiation shares). One spec serves every shard of a keyed
+// aggregation and every worker of the parallel sink.
+type aggInputSpec struct {
+	aggs   *compiledAggs
+	layout map[expr.ColumnID]int
+	masks  *maskSetSpec
+}
+
+func newAggInputSpec(aggs []logical.AggAssign, layout map[expr.ColumnID]int, naiveMasks bool) *aggInputSpec {
+	ca := compileAggs(aggs)
+	return &aggInputSpec{aggs: ca, layout: layout, masks: newMaskSetSpec(ca.maskAst, layout, naiveMasks)}
+}
+
+// instantiate compiles the mask set and argument evaluators for one
+// goroutine (both own scratch).
+func (sp *aggInputSpec) instantiate() (*aggInput, error) {
+	masks, err := sp.masks.instantiate()
+	if err != nil {
+		return nil, err
 	}
+	nMasks := len(sp.aggs.maskAst)
+	in := &aggInput{
+		aggs: sp.aggs, masks: masks, nMasks: nMasks,
+		argEvs:   make([]*batchEvaluator, len(sp.aggs.aggs)),
+		maskLog:  make([][]int, nMasks),
+		maskPhys: make([][]int, nMasks),
+		maskSub:  make([]vec.Batch, nMasks),
+	}
+	for i, a := range sp.aggs.aggs {
+		if in.argEvs[i], err = newBatchEvaluator(a.agg.Arg, sp.layout); err != nil {
+			return nil, err
+		}
+	}
+	return in, nil
+}
+
+// aggInput turns a batch into per-aggregate inputs: masks and arguments are
+// evaluated once per batch, vector-wise, and each aggregate is handed the
+// rows its mask admits with its argument values over them. The keyed
+// accumulator, its scalar mode and the parallel scalar sink all embed one
+// and differ only in where they add the values.
+type aggInput struct {
+	aggs  *compiledAggs
+	masks *maskSet
+	// nMasks is the distinct mask count — the spill row-record layout
+	// depends on it. argEvs[ai] is nil for argument-less aggregates.
+	nMasks int
+	argEvs []*batchEvaluator
+
+	// Per-batch scratch, reused across batches and valid until the next
+	// evalMasks: per mask, the admitted rows' logical indices in the batch,
+	// their physical indices, and the batch under that selection.
+	maskLog  [][]int
+	maskPhys [][]int
+	maskSub  []vec.Batch
+}
+
+// evalMasks evaluates every distinct mask over b and stages each one's
+// admitted rows for input. It returns the truth bitmaps (valid until the
+// next call) for callers that need per-row mask booleans.
+func (in *aggInput) evalMasks(b *vec.Batch) []*vec.Bitmap {
+	truths := in.masks.eval(b)
+	for mi, t := range truths {
+		mlog, phys := t.AppendTrue(in.maskLog[mi][:0]), in.maskPhys[mi][:0]
+		for _, i := range mlog {
+			phys = append(phys, b.RowIdx(i))
+		}
+		in.maskLog[mi], in.maskPhys[mi] = mlog, phys
+		in.maskSub[mi] = vec.Batch{Cols: b.Cols, Sel: phys, N: b.N}
+	}
+	return truths
+}
+
+// input hands aggregate ai its share of b after evalMasks(b): sub is b
+// restricted to the rows the aggregate's mask admits (b itself when
+// unmasked), mlog those rows' logical indices in b (nil when unmasked), and
+// vals the argument over sub (nil for argument-less aggregates; evaluator
+// scratch, valid until the aggregate's next input). ok is false when the
+// mask admits no row.
+func (in *aggInput) input(ai int, b *vec.Batch) (sub *vec.Batch, mlog []int, vals []types.Value, ok bool) {
+	sub = b
+	if mi := in.aggs.aggs[ai].maskIdx; mi >= 0 {
+		if mlog = in.maskLog[mi]; len(mlog) == 0 {
+			return nil, nil, nil, false
+		}
+		sub = &in.maskSub[mi]
+	}
+	if ev := in.argEvs[ai]; ev != nil {
+		vals = ev.eval(sub)
+	}
+	return sub, mlog, vals, true
 }
 
 func (ex *executor) buildGroupBy(g *logical.GroupBy) (BatchIterator, error) {
@@ -219,6 +310,7 @@ func (ex *executor) buildGroupBy(g *logical.GroupBy) (BatchIterator, error) {
 		keyIdx[i] = idx
 	}
 	scalar := len(g.Keys) == 0
+	spec := newAggInputSpec(g.Aggs, layout, ex.opts.NaiveMasks)
 	// Keyed aggregations partition across the worker pool: every group lives
 	// entirely in the shard its key hashes to, so shards need no
 	// coordination and the merged output is byte-identical to the serial
@@ -228,7 +320,7 @@ func (ex *executor) buildGroupBy(g *logical.GroupBy) (BatchIterator, error) {
 	if !scalar && ex.opts.Parallelism > 1 {
 		accs := make([]*groupAccumulator, ex.opts.Parallelism)
 		for p := range accs {
-			if accs[p], err = newGroupAccumulator(g, layout, keyIdx, ex.tracker, spillDir, ex.opts.NaiveMasks); err != nil {
+			if accs[p], err = newGroupAccumulator(spec, keyIdx, ex.tracker, spillDir); err != nil {
 				return nil, err
 			}
 			ex.tracker.Register(accs[p])
@@ -239,7 +331,7 @@ func (ex *executor) buildGroupBy(g *logical.GroupBy) (BatchIterator, error) {
 			batchSize: ex.opts.BatchSize, m: ex.metrics,
 		}, nil
 	}
-	acc, err := newGroupAccumulator(g, layout, keyIdx, ex.tracker, spillDir, ex.opts.NaiveMasks)
+	acc, err := newGroupAccumulator(spec, keyIdx, ex.tracker, spillDir)
 	if err != nil {
 		return nil, err
 	}
@@ -277,24 +369,15 @@ type group struct {
 }
 
 // groupAccumulator is one hash-aggregation shard: a group table plus its own
-// compiled mask/argument evaluators (batch evaluators own scratch buffers
-// and must not be shared across goroutines). The serial aggregation uses a
-// single accumulator over every row; the parallel aggregation gives each
-// worker one accumulator and routes rows by key hash, so a given group's
-// rows always land in the same shard in global input order — per-group
+// aggregate input (batch evaluators own scratch buffers and must not be
+// shared across goroutines). The serial aggregation uses a single
+// accumulator over every row; the parallel aggregation gives each worker
+// one accumulator and routes rows by key hash, so a given group's rows
+// always land in the same shard in global input order — per-group
 // accumulation (including float sums) is order-identical to serial.
 type groupAccumulator struct {
+	*aggInput
 	keyIdx []int
-	aggs   *compiledAggs
-	// Mask evaluation: the mask-family kernel evaluates the whole distinct
-	// mask set in one pass (shared prefix factored out); under
-	// Options.NaiveMasks each mask instead gets its own batch evaluator.
-	// nMasks is the distinct mask count either way — the spill row-record
-	// layout depends on it, not on which engine ran.
-	family  *maskFamily
-	maskEvs []*batchEvaluator
-	nMasks  int
-	argEvs  []*batchEvaluator
 
 	groups map[string]*group
 	order  []*group // discovery order; ascending firstIdx within one shard
@@ -303,8 +386,6 @@ type groupAccumulator struct {
 
 	// per-batch scratch
 	groupRow []*group
-	maskLog  [][]int
-	maskSub  []*vec.Batch
 	scalarG  *group
 
 	// memctl integration. mu serializes batch consumption against Spill
@@ -335,46 +416,20 @@ type groupAccumulator struct {
 	rowRec     []types.Value
 }
 
-func newGroupAccumulator(g *logical.GroupBy, layout map[expr.ColumnID]int, keyIdx []int, tracker *memctl.Tracker, spillDir string, naiveMasks bool) (*groupAccumulator, error) {
-	aggs, err := compileAggs(g.Aggs, layout)
+func newGroupAccumulator(spec *aggInputSpec, keyIdx []int, tracker *memctl.Tracker, spillDir string) (*groupAccumulator, error) {
+	in, err := spec.instantiate()
 	if err != nil {
 		return nil, err
 	}
-	// The consume loop is vector-driven: masks and aggregate arguments are
-	// evaluated once per batch, and only key values are touched per row.
-	// The distinct mask set compiles as one family (shared conjuncts run
-	// once per batch) unless the naive differential baseline is requested.
-	nMasks := len(aggs.maskAst)
-	var family *maskFamily
-	var maskEvs []*batchEvaluator
-	if naiveMasks {
-		maskEvs = make([]*batchEvaluator, nMasks)
-		for i, ast := range aggs.maskAst {
-			if maskEvs[i], err = newBatchEvaluator(ast, layout); err != nil {
-				return nil, err
-			}
-		}
-	} else if nMasks > 0 {
-		if family, err = newMaskFamily(aggs.maskAst, layout); err != nil {
-			return nil, err
-		}
-	}
-	argEvs := make([]*batchEvaluator, len(g.Aggs))
-	for i, a := range g.Aggs {
-		if argEvs[i], err = newBatchEvaluator(a.Agg.Arg, layout); err != nil {
-			return nil, err
-		}
-	}
 	return &groupAccumulator{
-		keyIdx: keyIdx, aggs: aggs, family: family, maskEvs: maskEvs, nMasks: nMasks, argEvs: argEvs,
+		aggInput:   in,
+		keyIdx:     keyIdx,
 		groups:     make(map[string]*group),
 		kv:         make([]types.Value, len(keyIdx)),
-		maskLog:    make([][]int, nMasks),
-		maskSub:    make([]*vec.Batch, nMasks),
 		tracker:    tracker,
 		spillDir:   spillDir,
-		spillMaskB: make([][]bool, nMasks),
-		spillArgs:  make([][]types.Value, len(g.Aggs)),
+		spillMaskB: make([][]bool, in.nMasks),
+		spillArgs:  make([][]types.Value, len(in.argEvs)),
 	}, nil
 }
 
@@ -500,61 +555,21 @@ func (ga *groupAccumulator) consumeLocked(b *vec.Batch, base int64, log []int) (
 	}
 
 	// Masks become selection vectors, shared by every aggregate that
-	// carries the same FILTER expression. The family kernel computes every
-	// mask's truth bitmap in one pass; the naive baseline evaluates each
-	// mask's value vector independently. Spilled rows additionally save
+	// carries the same FILTER expression. Spilled rows additionally save
 	// their per-mask booleans for the raw-row record.
-	var truths []*vec.Bitmap
-	if ga.family != nil {
-		truths = ga.family.eval(b)
-	}
-	for mi := 0; mi < ga.nMasks; mi++ {
-		mlog := ga.maskLog[mi][:0]
-		var phys []int
-		if truths != nil {
-			t := truths[mi]
-			for i := 0; i < n; i++ {
-				if t.True(i) {
-					mlog = append(mlog, i)
-					phys = append(phys, b.RowIdx(i))
-				}
-			}
-			if nSpill > 0 {
-				bm := ga.spillMaskB[mi]
-				if cap(bm) < nSpill {
-					bm = make([]bool, nSpill)
-				}
-				bm = bm[:nSpill]
-				for j, i := range ga.spillRows {
-					bm[j] = t.True(i)
-				}
-				ga.spillMaskB[mi] = bm
-			}
-		} else {
-			vals := ga.maskEvs[mi].eval(b)
-			for i := 0; i < n; i++ {
-				if vals[i].IsTrue() {
-					mlog = append(mlog, i)
-					phys = append(phys, b.RowIdx(i))
-				}
-			}
-			if nSpill > 0 {
-				bm := ga.spillMaskB[mi]
-				if cap(bm) < nSpill {
-					bm = make([]bool, nSpill)
-				}
-				bm = bm[:nSpill]
-				for j, i := range ga.spillRows {
-					bm[j] = vals[i].IsTrue()
-				}
-				ga.spillMaskB[mi] = bm
-			}
-		}
-		ga.maskLog[mi] = mlog
-		ga.maskSub[mi] = b.WithSel(phys)
-	}
-
+	truths := ga.evalMasks(b)
 	if nSpill > 0 {
+		for mi, t := range truths {
+			bm := ga.spillMaskB[mi]
+			if cap(bm) < nSpill {
+				bm = make([]bool, nSpill)
+			}
+			bm = bm[:nSpill]
+			for j, i := range ga.spillRows {
+				bm[j] = t.True(i)
+			}
+			ga.spillMaskB[mi] = bm
+		}
 		if err := ga.writeSpilledRows(b, base, log, nSpill); err != nil {
 			return pending, newBytes, err
 		}
@@ -562,47 +577,29 @@ func (ga *groupAccumulator) consumeLocked(b *vec.Batch, base int64, log []int) (
 
 	// Tight accumulation loop per aggregate.
 	for ai := range ga.aggs.aggs {
-		a := &ga.aggs.aggs[ai]
-		sub, mlog := b, []int(nil)
-		if a.maskIdx >= 0 {
-			sub, mlog = ga.maskSub[a.maskIdx], ga.maskLog[a.maskIdx]
-			if len(mlog) == 0 {
-				continue
-			}
+		sub, mlog, vals, ok := ga.input(ai, b)
+		if !ok {
+			continue
 		}
-		count := sub.Len()
-		var vals []types.Value
-		if ga.argEvs[ai] != nil {
-			vals = ga.argEvs[ai].eval(sub)
-		}
-		fn := a.agg.Fn
+		fn := ga.aggs.aggs[ai].agg.Fn
 		if scalar {
-			st := &ga.scalarG.states[ai]
-			if vals == nil {
-				for j := 0; j < count; j++ {
-					st.add(fn, types.Value{})
-				}
-			} else {
-				for j := range vals {
-					st.add(fn, vals[j])
-				}
+			ga.scalarG.states[ai].addAll(fn, vals, sub.Len())
+			continue
+		}
+		for j, count := 0, sub.Len(); j < count; j++ {
+			li := j
+			if mlog != nil {
+				li = mlog[j]
 			}
-		} else {
-			for j := 0; j < count; j++ {
-				li := j
-				if mlog != nil {
-					li = mlog[j]
-				}
-				g := groupRow[li]
-				if g == nil {
-					continue // row spilled to disk this batch
-				}
-				var v types.Value
-				if vals != nil {
-					v = vals[j]
-				}
-				g.states[ai].add(fn, v)
+			g := groupRow[li]
+			if g == nil {
+				continue // row spilled to disk this batch
 			}
+			var v types.Value
+			if vals != nil {
+				v = vals[j]
+			}
+			g.states[ai].add(fn, v)
 		}
 	}
 	return pending, newBytes, nil
@@ -714,9 +711,7 @@ func (it *groupByIter) consume() error {
 		return err
 	}
 	it.m.addHashRows(it.acc.groupsCreated)
-	if it.acc.family != nil {
-		it.m.addMaskPrefixHits(it.acc.family.hits())
-	}
+	it.m.addMaskPrefixHits(it.acc.masks.hits())
 	it.emitter = &groupEmitter{
 		streams:   []groupStream{stream},
 		width:     len(it.acc.keyIdx) + len(it.acc.aggs.aggs),
@@ -893,9 +888,7 @@ func (it *parallelGroupByIter) consume() error {
 	}
 	it.m.addHashRows(total)
 	for _, acc := range it.accs {
-		if acc.family != nil {
-			it.m.addMaskPrefixHits(acc.family.hits())
-		}
+		it.m.addMaskPrefixHits(acc.masks.hits())
 	}
 	it.emitter = &groupEmitter{
 		streams:   streams,
@@ -944,18 +937,8 @@ func (ex *executor) buildMarkDistinct(md *logical.MarkDistinct) (BatchIterator, 
 			spec.onIdx[k] = idx
 		}
 		if node.Mask != nil {
-			if ex.opts.NaiveMasks {
-				ev, err := newBatchEvaluator(node.Mask, layout)
-				if err != nil {
-					return nil, err
-				}
-				spec.mask = ev
-			} else {
-				ev, err := newMaskEvaluator(node.Mask, layout)
-				if err != nil {
-					return nil, err
-				}
-				spec.maskBm = ev
+			if spec.mask, err = newMaskSetSpec([]expr.Expr{node.Mask}, layout, ex.opts.NaiveMasks).instantiate(); err != nil {
+				return nil, err
 			}
 		}
 		marks[i] = spec
@@ -967,11 +950,9 @@ func (ex *executor) buildMarkDistinct(md *logical.MarkDistinct) (BatchIterator, 
 
 type markSpec struct {
 	onIdx []int
-	// mask qualifies rows for distinctness tracking: maskBm is the bitmap
-	// path, mask the NaiveMasks value-vector baseline. At most one is set.
-	mask   *batchEvaluator
-	maskBm *maskEvaluator
-	seen   map[string]bool
+	// mask qualifies rows for distinctness tracking (nil admits every row).
+	mask *maskSet
+	seen map[string]bool
 }
 
 // markDistinctIter implements §III.F: pass the input through, appending one
@@ -1024,12 +1005,9 @@ func (it *markDistinctIter) NextBatch() (*vec.Batch, error) {
 	firsts := 0
 	for mi := range it.marks {
 		spec := &it.marks[mi]
-		var maskVals []types.Value
 		var maskBits *vec.Bitmap
 		if spec.mask != nil {
-			maskVals = spec.mask.eval(out)
-		} else if spec.maskBm != nil {
-			maskBits = spec.maskBm.eval(out)
+			maskBits = spec.mask.eval(out)[0]
 		}
 		if cap(it.kv) < len(spec.onIdx) {
 			it.kv = make([]types.Value, len(spec.onIdx))
@@ -1038,13 +1016,7 @@ func (it *markDistinctIter) NextBatch() (*vec.Batch, error) {
 		markCol := ext[it.baseWidth+mi]
 		for i := 0; i < n; i++ {
 			first := false
-			admit := true
-			if maskVals != nil {
-				admit = maskVals[i].IsTrue()
-			} else if maskBits != nil {
-				admit = maskBits.True(i)
-			}
-			if admit {
+			if maskBits == nil || maskBits.True(i) {
 				for k, idx := range spec.onIdx {
 					kv[k] = ext[idx][i]
 				}
@@ -1070,19 +1042,26 @@ func (ex *executor) buildWindow(w *logical.Window) (BatchIterator, error) {
 	layout := layoutOf(w.Input)
 	funcs := make([]windowFunc, len(w.Funcs))
 	for i, f := range w.Funcs {
-		ca, err := compileAggs([]logical.AggAssign{{Col: f.Col, Agg: f.Agg}}, layout)
-		if err != nil {
+		// compileAggs canonicalizes the mask (a mask folding to TRUE leaves
+		// the function unmasked) exactly as the aggregation operators do.
+		ca := compileAggs([]logical.AggAssign{{Col: f.Col, Agg: f.Agg}})
+		wf := windowFunc{agg: f.Agg, partIdx: make([]int, len(f.PartitionBy))}
+		if ca.aggs[0].maskIdx >= 0 {
+			if wf.mask, err = newEvaluator(ca.maskAst[0], layout); err != nil {
+				return nil, err
+			}
+		}
+		if wf.arg, err = newEvaluator(f.Agg.Arg, layout); err != nil {
 			return nil, err
 		}
-		partIdx := make([]int, len(f.PartitionBy))
 		for k, c := range f.PartitionBy {
 			idx, ok := layout[c.ID]
 			if !ok {
 				return nil, errUnbound(c)
 			}
-			partIdx[k] = idx
+			wf.partIdx[k] = idx
 		}
-		funcs[i] = windowFunc{agg: ca, partIdx: partIdx}
+		funcs[i] = wf
 	}
 	return &windowIter{
 		in: in, funcs: funcs, inWidth: len(w.Input.Schema()),
@@ -1090,8 +1069,13 @@ func (ex *executor) buildWindow(w *logical.Window) (BatchIterator, error) {
 	}, nil
 }
 
+// windowFunc is one windowed aggregate. The window operator is the engine's
+// one row-at-a-time aggregate consumer, so it owns the row-level closures:
+// mask (nil = unmasked) and arg (nil = argument-less).
 type windowFunc struct {
-	agg     *compiledAggs // exactly one aggregate
+	agg     expr.AggCall
+	mask    *evaluator
+	arg     *evaluator
 	partIdx []int
 }
 
@@ -1132,7 +1116,7 @@ func (it *windowIter) NextBatch() (*vec.Batch, error) {
 		row := it.rows[it.outIdx]
 		copy(out, row)
 		for i := range it.funcs {
-			out[it.inWidth+i] = it.states[i][it.outIdx].result(it.funcs[i].agg.aggs[0].agg)
+			out[it.inWidth+i] = it.states[i][it.outIdx].result(it.funcs[i].agg)
 		}
 		it.outIdx++
 		bl.Append(out)
@@ -1166,16 +1150,14 @@ func (it *windowIter) consume() error {
 				partitions[k] = st
 			}
 			rowState[ri] = st
-			f.agg.evalMasks(row)
-			a := &f.agg.aggs[0]
-			if a.maskIdx >= 0 && !f.agg.results[a.maskIdx] {
+			if f.mask != nil && !f.mask.eval(row).IsTrue() {
 				continue
 			}
 			var v types.Value
-			if a.arg != nil {
-				v = a.arg.eval(row)
+			if f.arg != nil {
+				v = f.arg.eval(row)
 			}
-			st.add(a.agg.Fn, v)
+			st.add(f.agg.Fn, v)
 		}
 		it.states[fi] = rowState
 	}

@@ -17,30 +17,6 @@ import (
 // instance on one goroutine.
 type bitmapFn func(b *vec.Batch, out *vec.Bitmap)
 
-// maskEvaluator pairs a bitmapFn with a reusable result bitmap.
-type maskEvaluator struct {
-	fn bitmapFn
-	bm vec.Bitmap
-}
-
-func newMaskEvaluator(e expr.Expr, layout map[expr.ColumnID]int) (*maskEvaluator, error) {
-	if e == nil {
-		return nil, nil
-	}
-	fn, err := compileBitmapExpr(e, layout)
-	if err != nil {
-		return nil, fmt.Errorf("exec: bitmap-compiling %s: %w", e, err)
-	}
-	return &maskEvaluator{fn: fn}, nil
-}
-
-// eval evaluates the expression over b's active rows into an internal
-// bitmap valid until the next eval call.
-func (ev *maskEvaluator) eval(b *vec.Batch) *vec.Bitmap {
-	ev.fn(b, &ev.bm)
-	return &ev.bm
-}
-
 // compileBitmapExpr lowers a boolean expression into a bitmap-producing
 // closure that owns a private comparison-leaf table, for callers that
 // evaluate it on its own (a mask family's residuals share one table instead:

@@ -200,7 +200,7 @@ func TestMaskFamilyScratchReuse(t *testing.T) {
 // are equal only modulo commutativity share one mask slot, and a mask that
 // simplifies to TRUE compiles as unmasked.
 func TestCompileAggsCanonicalDedup(t *testing.T) {
-	a, c, _, _, layout := maskTestCols()
+	a, c, _, _, _ := maskTestCols()
 	p := expr.NewBinary(expr.OpGt, expr.Ref(a), expr.Lit(types.Int(20)))
 	q := expr.NewBinary(expr.OpLt, expr.Ref(c), expr.Lit(types.Int(70)))
 	aggs := []logical.AggAssign{
@@ -211,12 +211,9 @@ func TestCompileAggsCanonicalDedup(t *testing.T) {
 		{Col: expr.NewColumn("z", types.KindInt64),
 			Agg: expr.AggCall{Fn: expr.AggCountStar, Mask: expr.Or(p, expr.TrueExpr())}},
 	}
-	ca, err := compileAggs(aggs, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ca.masks) != 1 {
-		t.Fatalf("distinct masks = %d, want 1: `p AND q` and `q AND p` must dedup", len(ca.masks))
+	ca := compileAggs(aggs)
+	if len(ca.maskAst) != 1 {
+		t.Fatalf("distinct masks = %d, want 1: `p AND q` and `q AND p` must dedup", len(ca.maskAst))
 	}
 	if ca.aggs[0].maskIdx != ca.aggs[1].maskIdx {
 		t.Errorf("commuted masks got different slots: %d vs %d", ca.aggs[0].maskIdx, ca.aggs[1].maskIdx)

@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/scanshare"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -79,6 +76,67 @@ func partitionBatches(p *storage.Partition, cols []string, batchSize int, share 
 	return dst, nil
 }
 
+// morselSource is everything a worker needs to turn a scan leaf's partitions
+// into batches: the column list and batch size, the run's metrics and CPU
+// pool, the scan-share session (nil when sharing is off) and the leaf's
+// skip controller (nil under Options.NoSkip; its methods are nil-safe).
+// scanSource assembles one per built leaf, and every scan form — serial,
+// morsel-parallel, fused chain — decodes through it.
+type morselSource struct {
+	cols      []string
+	batchSize int
+	m         *Metrics
+	pool      *workerPool
+	share     *scanshare.Scan
+	ctrl      *skipController
+}
+
+// runChain is the push loop every fused-chain consumer shares: decode each
+// partition (or prune it and recharge its rows as-if-scanned), repack the
+// decoded batches to the nominal size, push each through the fused stages,
+// and hand every surviving output batch to emit. Decode, stages and emit
+// are the CPU work and run under one shared pool slot, released on return,
+// so scan leaves, chains and the blocking operators above them together
+// never exceed Parallelism concurrent workers.
+//
+// Every charge — scan output, per-stage inputs, the skip recharge — is taken
+// here, worker-side: the sums are order-independent and chains never run
+// under LIMIT (executor.noPush), so every consumer drains totally and only
+// the totals matter, not the stream position. Consumers add their own input
+// charge in emit.
+func (src *morselSource) runChain(parts []*storage.Partition, stages []pipeStage, stop <-chan struct{}, emit func(*vec.Batch)) error {
+	src.pool.acquire()
+	defer src.pool.release()
+	co := batchCoalescer{target: src.batchSize}
+	push := func(cb *vec.Batch) {
+		src.m.addProcessed(int64(cb.Len()))
+		src.m.addPipelineBatches(1)
+		if ob := runStages(stages, cb, src.m); ob != nil {
+			emit(ob)
+		}
+	}
+	var decoded []*vec.Batch
+	var err error
+	for _, p := range parts {
+		if src.ctrl.shouldPrune(p) {
+			src.ctrl.recharge(int64(p.NumRows))
+			continue
+		}
+		if decoded, err = partitionBatches(p, src.cols, src.batchSize, src.share, stop, src.m, decoded[:0]); err != nil {
+			return err
+		}
+		for _, b := range decoded {
+			if cb := co.add(b); cb != nil {
+				push(cb)
+			}
+		}
+	}
+	if cb := co.flush(); cb != nil {
+		push(cb)
+	}
+	return nil
+}
+
 // morselItem is one in-order element of a scanned morsel: a decoded batch,
 // or a marker for a pruned partition (b nil, skip its row count). Markers
 // keep the as-if-scanned RowsProcessed recharge at the exact stream
@@ -89,119 +147,58 @@ type morselItem struct {
 	skip int64
 }
 
+// morselResult is one morsel's delivery: a fused chain's output batches, or
+// the scan leaf's in-order items.
 type morselResult struct {
 	batches []*vec.Batch
 	items   []morselItem
-	// skipped totals pruned rows of a pipeline morsel (recharged by the
-	// pipeline consumer when the result is received).
-	skipped int64
 	err     error
 }
 
 // parallelScanIter is the morsel-parallel scan leaf. Workers race down the
-// morsel list; each morsel's batches are delivered through a dedicated
-// 1-slot channel and consumed strictly in morsel order. A token semaphore
-// bounds decoded-but-unconsumed morsels so a fast scan cannot buffer the
-// whole table, and close() releases the pool even when the consumer stops
-// early (LIMIT) or the query errors.
+// morsel list under orderedRun's discipline — strict morsel-order delivery,
+// a bound on decoded-but-unconsumed morsels so a fast scan cannot buffer the
+// whole table, and a close() that releases the pool even when the consumer
+// stops early (LIMIT) or the query errors. Unlike a fused chain the leaf may
+// sit under LIMIT, so workers only decide prunes; the consumer applies the
+// recharge at the marker's stream position.
 type parallelScanIter struct {
-	cols      []string
-	morsels   []morsel
-	batchSize int
-	workers   int
-	m         *Metrics
-	pool      *workerPool
-	// share, when non-nil, routes partition decodes through the cross-query
-	// scan-share session (set by buildScan before the first NextBatch).
-	share *scanshare.Scan
-	// ctrl prunes partitions before decode (set by buildScan; nil-safe).
-	// Workers decide prunes; the consumer applies the recharge in order.
-	ctrl *skipController
+	run     *orderedRun[morselResult]
+	src     *morselSource
+	morsels []morsel
 
-	started bool
-	next    int64
-	stop    chan struct{}
-	tokens  chan struct{}
-	results []chan morselResult
-	wg      sync.WaitGroup
-
-	mi     int
 	cur    []morselItem
 	curIdx int
 }
 
-func newParallelScan(cols []string, morsels []morsel, batchSize, workers int, m *Metrics, pool *workerPool) *parallelScanIter {
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	it := &parallelScanIter{
-		cols:      cols,
-		morsels:   morsels,
-		batchSize: batchSize,
-		workers:   workers,
-		m:         m,
-		pool:      pool,
-		stop:      make(chan struct{}),
-		tokens:    make(chan struct{}, 2*workers),
-		results:   make([]chan morselResult, len(morsels)),
-	}
-	for i := range it.results {
-		it.results[i] = make(chan morselResult, 1)
-	}
-	return it
+func newParallelScan(src *morselSource, morsels []morsel, workers int) *parallelScanIter {
+	return &parallelScanIter{run: newOrderedRun[morselResult](len(morsels), workers), src: src, morsels: morsels}
 }
 
-func (it *parallelScanIter) start() {
-	it.started = true
-	it.wg.Add(it.workers)
-	for w := 0; w < it.workers; w++ {
-		go it.worker()
+func (it *parallelScanIter) work(_, i int) morselResult {
+	src := it.src
+	// The decode is the CPU work and runs under a pool slot, like runChain.
+	src.pool.acquire()
+	defer src.pool.release()
+	var items []morselItem
+	for _, p := range it.morsels[i].parts {
+		if src.ctrl.shouldPrune(p) {
+			items = append(items, morselItem{skip: int64(p.NumRows)})
+			continue
+		}
+		batches, err := partitionBatches(p, src.cols, src.batchSize, src.share, it.run.stop, src.m, nil)
+		if err != nil {
+			return morselResult{err: err}
+		}
+		for _, b := range batches {
+			items = append(items, morselItem{b: b})
+		}
 	}
-}
-
-func (it *parallelScanIter) worker() {
-	defer it.wg.Done()
-	for {
-		select {
-		case <-it.stop:
-			return
-		case it.tokens <- struct{}{}:
-		}
-		i := int(atomic.AddInt64(&it.next, 1)) - 1
-		if i >= len(it.morsels) {
-			<-it.tokens
-			return
-		}
-		// The decode is the CPU work; it runs under a shared pool slot so
-		// scan leaves and the blocking operators above them together never
-		// exceed Parallelism concurrent workers.
-		it.pool.acquire()
-		var items []morselItem
-		var err error
-		for _, p := range it.morsels[i].parts {
-			if it.ctrl.shouldPrune(p) {
-				items = append(items, morselItem{skip: int64(p.NumRows)})
-				continue
-			}
-			var batches []*vec.Batch
-			if batches, err = partitionBatches(p, it.cols, it.batchSize, it.share, it.stop, it.m, nil); err != nil {
-				break
-			}
-			for _, b := range batches {
-				items = append(items, morselItem{b: b})
-			}
-		}
-		it.pool.release()
-		// Capacity-1 channel: the send never blocks, so a worker always
-		// finishes its claimed morsel even if the consumer has gone away.
-		it.results[i] <- morselResult{items: items, err: err}
-	}
+	return morselResult{items: items}
 }
 
 func (it *parallelScanIter) NextBatch() (*vec.Batch, error) {
-	if !it.started {
-		it.start()
-	}
+	it.run.start(it.work)
 	for {
 		if it.curIdx < len(it.cur) {
 			item := it.cur[it.curIdx]
@@ -209,32 +206,19 @@ func (it *parallelScanIter) NextBatch() (*vec.Batch, error) {
 			if item.b == nil {
 				// Pruned partition: recharge exactly where its batches would
 				// have been consumed.
-				it.ctrl.recharge(item.skip)
+				it.src.ctrl.recharge(item.skip)
 				continue
 			}
-			it.m.addProcessed(int64(item.b.Len()))
+			it.src.m.addProcessed(int64(item.b.Len()))
 			return item.b, nil
 		}
-		if it.mi >= len(it.morsels) {
+		res, ok := it.run.recv()
+		if !ok {
 			return nil, nil
 		}
-		res := <-it.results[it.mi]
-		it.mi++
-		<-it.tokens
 		if res.err != nil {
 			return nil, res.err
 		}
 		it.cur, it.curIdx = res.items, 0
-	}
-}
-
-// close signals the workers to drain and waits for in-flight decodes to
-// finish, so no worker touches storage metrics after close returns. Safe to
-// call before the first NextBatch; the executor's close guard ensures it
-// runs exactly once per Run.
-func (it *parallelScanIter) close() {
-	if it.started {
-		close(it.stop)
-		it.wg.Wait()
 	}
 }

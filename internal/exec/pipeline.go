@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/logical"
-	"repro/internal/scanshare"
 	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -38,16 +37,15 @@ const (
 
 // stageSpec is the compile-once description of one fused stage; per-worker
 // instances are built from it because evaluators own scratch buffers and
-// are bound to one goroutine. For filter stages the mask-family factoring
-// analysis is itself worker-independent, so it is cached here (famSpec) on
-// first instantiation and shared by every later worker — only the bitmap
-// closure compilation repeats per worker.
+// are bound to one goroutine. For filter stages the worker-independent
+// analysis lives in the stage's mask-set spec and is shared by every
+// worker — only the closure compilation repeats per worker.
 type stageSpec struct {
 	kind    stageKind
 	cond    expr.Expr            // filter predicate
 	assigns []logical.Assignment // project outputs
 	layout  map[expr.ColumnID]int
-	famSpec *maskFamilySpec // lazily built shared factoring for filter stages
+	mask    *maskSetSpec // cond as a single-mask set; set by executor.execChain only
 }
 
 // chainSpec is a compiled fusible chain: a scan leaf (with any partition
@@ -104,44 +102,45 @@ func finishChain(scan *logical.Scan, prune storage.Pruner, pruneCond expr.Expr, 
 	return cs
 }
 
-// pipeStage is one instantiated fused stage. Exactly one of the filter
-// fields (fam is the bitmap mask-family kernel, cond the NaiveMasks
-// baseline) or the project fields is populated. For projects, projSrc[i]
-// >= 0 aliases input column projSrc[i] zero-copy; -1 computes projFns[i].
+// pipeStage is one instantiated fused stage: a filter's single-mask set, or
+// a project, where projSrc[i] >= 0 aliases input column projSrc[i] zero-copy
+// and -1 computes projFns[i].
 type pipeStage struct {
 	kind    stageKind
-	fam     *maskFamily
-	cond    *batchEvaluator
+	mask    *maskSet
 	projSrc []int
 	projFns []batchFn
 }
 
+// execChain is compileChain for a chain this run will execute: filter
+// stages additionally get the mask-set spec newPipeStages instantiates.
+func (ex *executor) execChain(op logical.Operator) (*chainSpec, bool) {
+	cs, ok := compileChain(op)
+	if ok {
+		for si := range cs.stages {
+			if ss := &cs.stages[si]; ss.kind == stageFilter {
+				ss.mask = newMaskSetSpec([]expr.Expr{ss.cond}, ss.layout, ex.opts.NaiveMasks)
+			}
+		}
+	}
+	return cs, ok
+}
+
 // newPipeStages instantiates the chain's stages for one goroutine. The
 // per-worker calls for one chain all happen sequentially on the coordinator
-// goroutine (newChainIterator / the sink constructors), so the famSpec
-// cache needs no lock.
-func newPipeStages(cs *chainSpec, naiveMasks bool) ([]pipeStage, error) {
+// goroutine (the chain and sink constructors), which is what lets the
+// mask-set specs cache their factoring without a lock.
+func newPipeStages(cs *chainSpec) ([]pipeStage, error) {
 	stages := make([]pipeStage, len(cs.stages))
 	for si := range cs.stages {
 		ss := &cs.stages[si]
 		switch ss.kind {
 		case stageFilter:
-			if naiveMasks {
-				ev, err := newBatchEvaluator(ss.cond, ss.layout)
-				if err != nil {
-					return nil, err
-				}
-				stages[si] = pipeStage{kind: stageFilter, cond: ev}
-			} else {
-				if ss.famSpec == nil {
-					ss.famSpec = newMaskFamilySpec([]expr.Expr{ss.cond}, ss.layout)
-				}
-				fam, err := ss.famSpec.instantiate()
-				if err != nil {
-					return nil, err
-				}
-				stages[si] = pipeStage{kind: stageFilter, fam: fam}
+			mask, err := ss.mask.instantiate()
+			if err != nil {
+				return nil, err
 			}
+			stages[si] = pipeStage{kind: stageFilter, mask: mask}
 		case stageProject:
 			st := pipeStage{
 				kind:    stageProject,
@@ -168,6 +167,22 @@ func newPipeStages(cs *chainSpec, naiveMasks bool) ([]pipeStage, error) {
 	return stages, nil
 }
 
+// perWorker builds n goroutine-bound instances of a compiled template.
+// Instance 0 is first — the one the caller compiled to surface expression
+// errors before committing to the scan — so validation is not compiled
+// twice; mk builds the rest.
+func perWorker[T any](n int, first T, mk func() (T, error)) ([]T, error) {
+	out := make([]T, n)
+	out[0] = first
+	for w := 1; w < n; w++ {
+		var err error
+		if out[w], err = mk(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // runStages pushes one source batch through the fused chain. Each stage
 // charges its input rows exactly where the equivalent pull operator would,
 // so RowsProcessed is byte-identical to the pull path on fully-consumed
@@ -184,37 +199,8 @@ func runStages(stages []pipeStage, b *vec.Batch, m *Metrics) *vec.Batch {
 		m.addProcessed(int64(n))
 		switch st.kind {
 		case stageFilter:
-			if st.fam != nil {
-				truth := st.fam.eval(b)[0]
-				count := truth.Count()
-				if count == n && b.Sel == nil {
-					break // every row passes: push the batch through untouched
-				}
-				if count == 0 {
-					return nil
-				}
-				sel := make([]int, 0, count)
-				for i := 0; i < n; i++ {
-					if truth.True(i) {
-						sel = append(sel, b.RowIdx(i))
-					}
-				}
-				b = b.WithSel(sel)
-			} else {
-				vals := st.cond.eval(b)
-				sel := make([]int, 0, n)
-				for i := 0; i < n; i++ {
-					if vals[i].IsTrue() {
-						sel = append(sel, b.RowIdx(i))
-					}
-				}
-				if len(sel) == 0 {
-					return nil
-				}
-				if len(sel) == n && b.Sel == nil {
-					break
-				}
-				b = b.WithSel(sel)
+			if b = narrow(b, st.mask.eval(b)[0]); b == nil {
+				return nil
 			}
 		case stageProject:
 			out := make([][]types.Value, len(st.projSrc))
@@ -275,7 +261,7 @@ func (ex *executor) buildPipeline(op logical.Operator) (BatchIterator, bool, err
 	default:
 		return nil, false, nil
 	}
-	cs, ok := compileChain(op)
+	cs, ok := ex.execChain(op)
 	if !ok || len(cs.stages) == 0 {
 		return nil, false, nil
 	}
@@ -291,38 +277,54 @@ func (ex *executor) buildPipeline(op logical.Operator) (BatchIterator, bool, err
 // otherwise.
 func (ex *executor) newChainIterator(cs *chainSpec) (BatchIterator, error) {
 	// Compile one stage instance up front so expression errors surface
-	// before any goroutine starts; the serial path reuses it.
-	stages, err := newPipeStages(cs, ex.opts.NaiveMasks)
+	// before any goroutine starts.
+	stages, err := newPipeStages(cs)
 	if err != nil {
 		return nil, err
 	}
-	parts, share, err := ex.scanSource(cs.scan, cs.prune)
+	parts, src, morsels, err := ex.openChain(cs)
 	if err != nil {
 		return nil, err
+	}
+	if len(morsels) <= 1 {
+		return ex.serialChain(parts, src, stages), nil
+	}
+	run := newOrderedRun[morselResult](len(morsels), ex.opts.Parallelism)
+	wstages, err := perWorker(run.workers, stages, func() ([]pipeStage, error) { return newPipeStages(cs) })
+	if err != nil {
+		return nil, err
+	}
+	ex.closeChain(run.close, src.share)
+	return &pipelineIter{run: run, src: src, morsels: morsels, wstages: wstages}, nil
+}
+
+// openChain commits a fused chain to its scan: it resolves the partitions
+// (charging BytesScanned — from here on the chain must run, never fall back
+// to the pull builders), installs the chain's zone checks on the leaf's
+// fresh skip controller, counts the pipeline, and cuts the morsels. At most
+// one morsel (always, at Parallelism 1) means the caller takes serialChain.
+func (ex *executor) openChain(cs *chainSpec) ([]*storage.Partition, *morselSource, []morsel, error) {
+	parts, src, err := ex.scanSource(cs.scan, cs.prune)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	ex.configureChainSkip(cs)
-	ctrl, _ := ex.lookupScanCtrl(cs.scan)
 	ex.metrics.addFusedPipelines(1)
+	var morsels []morsel
 	if ex.opts.Parallelism > 1 {
-		morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
-		if len(morsels) > 1 {
-			it, err := newPipelineIter(ex, cs, morsels, share)
-			if err != nil {
-				return nil, err
-			}
-			it.ctrl = ctrl
-			ex.closers = append(ex.closers, it.close)
-			if share != nil {
-				ex.closers = append(ex.closers, share.Close)
-			}
-			return it, nil
-		}
+		morsels = buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
 	}
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
+	return parts, src, morsels, nil
+}
+
+// serialChain is the fused loop without workers, over an opened chain and
+// the stage instance its caller compiled for validation.
+func (ex *executor) serialChain(parts []*storage.Partition, src *morselSource, stages []pipeStage) BatchIterator {
+	ex.closeChain(nil, src.share)
+	return &chainIter{
+		src: &scanIter{src: src, parts: parts}, stages: stages, m: ex.metrics,
+		co: batchCoalescer{target: ex.opts.BatchSize},
 	}
-	src := &scanIter{cols: cs.scan.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: share, ctrl: ctrl}
-	return &chainIter{src: src, stages: stages, m: ex.metrics, co: batchCoalescer{target: ex.opts.BatchSize}}, nil
 }
 
 // batchCoalescer repacks a stream of decoded batches to the nominal batch
@@ -514,8 +516,9 @@ func (r *orderedRun[T]) recv() (T, bool) {
 	return t, true
 }
 
-// close stops the workers and waits for in-flight morsels to finish. Safe
-// to call before start and more than once.
+// close stops the workers and waits for in-flight morsels to finish, so no
+// worker touches the run's metrics after close returns. Safe to call before
+// start and more than once.
 func (r *orderedRun[T]) close() {
 	if !r.started {
 		return
@@ -528,82 +531,25 @@ func (r *orderedRun[T]) close() {
 	r.wg.Wait()
 }
 
-// pipelineIter is the morsel-parallel fused chain: each worker decodes its
-// claimed morsel and pushes every batch through its own stage instances in
-// one loop, delivering the chain's output batches in morsel order. All
-// metric charges (scan output, per-stage inputs) happen worker-side; sums
-// are order-independent and every pipeline consumer drains totally, so the
-// totals match the pull path exactly.
+// pipelineIter is the morsel-parallel fused chain: each worker runs the
+// push loop over its claimed morsel through its own stage instances and
+// delivers the chain's output batches in morsel order.
 type pipelineIter struct {
-	run       *orderedRun[morselResult]
-	morsels   []morsel
-	cols      []string
-	batchSize int
-	m         *Metrics
-	pool      *workerPool
-	share     *scanshare.Scan
-	// ctrl prunes partitions before decode (nil-safe). Workers decide and
-	// tally prunes per morsel; the consumer recharges on receipt — pipelines
-	// never run under LIMIT, so only the total matters, not the position.
-	ctrl    *skipController
+	run     *orderedRun[morselResult]
+	src     *morselSource
+	morsels []morsel
 	wstages [][]pipeStage
 
 	cur    []*vec.Batch
 	curIdx int
 }
 
-func newPipelineIter(ex *executor, cs *chainSpec, morsels []morsel, share *scanshare.Scan) (*pipelineIter, error) {
-	run := newOrderedRun[morselResult](len(morsels), ex.opts.Parallelism)
-	wstages := make([][]pipeStage, run.workers)
-	for w := range wstages {
-		st, err := newPipeStages(cs, ex.opts.NaiveMasks)
-		if err != nil {
-			return nil, err
-		}
-		wstages[w] = st
-	}
-	return &pipelineIter{
-		run: run, morsels: morsels, cols: cs.scan.ColNames,
-		batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool,
-		share: share, wstages: wstages,
-	}, nil
-}
-
 func (it *pipelineIter) work(w, i int) morselResult {
-	// The decode and the fused stage loop are the CPU work; they run under
-	// one shared pool slot like the pull scan's morsel decode.
-	it.pool.acquire()
-	defer it.pool.release()
-	stages := it.wstages[w]
-	var out, src []*vec.Batch
-	var err error
-	co := batchCoalescer{target: it.batchSize}
-	push := func(cb *vec.Batch) {
-		it.m.addProcessed(int64(cb.Len()))
-		it.m.addPipelineBatches(1)
-		if ob := runStages(stages, cb, it.m); ob != nil {
-			out = append(out, ob)
-		}
-	}
-	var skipped int64
-	for _, p := range it.morsels[i].parts {
-		if it.ctrl.shouldPrune(p) {
-			skipped += int64(p.NumRows)
-			continue
-		}
-		if src, err = partitionBatches(p, it.cols, it.batchSize, it.share, it.run.stop, it.m, src[:0]); err != nil {
-			return morselResult{err: err}
-		}
-		for _, b := range src {
-			if cb := co.add(b); cb != nil {
-				push(cb)
-			}
-		}
-	}
-	if cb := co.flush(); cb != nil {
-		push(cb)
-	}
-	return morselResult{batches: out, skipped: skipped}
+	var res morselResult
+	res.err = it.src.runChain(it.morsels[i].parts, it.wstages[w], it.run.stop, func(ob *vec.Batch) {
+		res.batches = append(res.batches, ob)
+	})
+	return res
 }
 
 func (it *pipelineIter) NextBatch() (*vec.Batch, error) {
@@ -621,9 +567,6 @@ func (it *pipelineIter) NextBatch() (*vec.Batch, error) {
 		if res.err != nil {
 			return nil, res.err
 		}
-		it.ctrl.recharge(res.skipped)
 		it.cur, it.curIdx = res.batches, 0
 	}
 }
-
-func (it *pipelineIter) close() { it.run.close() }

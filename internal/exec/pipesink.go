@@ -4,10 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/memctl"
-	"repro/internal/scanshare"
 	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/vec"
@@ -20,35 +18,6 @@ import (
 // morsel results strictly in morsel order, charge rows exactly where the
 // pull operators do, and keep memctl accounting and the spill paths intact.
 
-// serialChain builds the serial fused loop over an already-resolved scan
-// source — the sinks' fallback when the scan yields at most one morsel. The
-// caller has committed to the scan (BytesScanned is charged), so this path
-// must be taken rather than falling back to the pull builders.
-func (ex *executor) serialChain(cs *chainSpec, parts []*storage.Partition, share *scanshare.Scan) (BatchIterator, error) {
-	stages, err := newPipeStages(cs, ex.opts.NaiveMasks)
-	if err != nil {
-		return nil, err
-	}
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
-	ctrl, _ := ex.lookupScanCtrl(cs.scan)
-	src := &scanIter{cols: cs.scan.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: share, ctrl: ctrl}
-	return &chainIter{src: src, stages: stages, m: ex.metrics, co: batchCoalescer{target: ex.opts.BatchSize}}, nil
-}
-
-// serialScalarGroupBy is the serial scalar-aggregation tail of buildGroupBy,
-// factored out so the sink's one-morsel fallback can reuse it.
-func (ex *executor) serialScalarGroupBy(g *logical.GroupBy, in BatchIterator) (BatchIterator, error) {
-	acc, err := newGroupAccumulator(g, layoutOf(g.Input), nil, ex.tracker, ex.mempool.SpillDir(), ex.opts.NaiveMasks)
-	if err != nil {
-		return nil, err
-	}
-	return &groupByIter{
-		in: in, acc: acc, scalar: true, batchSize: ex.opts.BatchSize, m: ex.metrics,
-	}, nil
-}
-
 // buildScalarAggSink compiles a scalar aggregation over a fusible chain into
 // a push pipeline: each worker runs the fused chain over its claimed morsel
 // and folds the surviving rows into per-worker partial aggregate states.
@@ -57,117 +26,69 @@ func (ex *executor) serialScalarGroupBy(g *logical.GroupBy, in BatchIterator) (B
 // their masked argument values and replay them serially in morsel order, so
 // float sums stay bit-for-bit identical to the serial accumulation.
 func (ex *executor) buildScalarAggSink(g *logical.GroupBy) (BatchIterator, bool, error) {
-	cs, ok := compileChain(g.Input)
+	cs, ok := ex.execChain(g.Input)
 	if !ok {
 		return nil, false, nil
 	}
 	// Validate chain and aggregate compilation before committing to the
-	// scan: once scanSource charges BytesScanned the sink must be used. The
-	// spec survives into the parallel sink so the validation worker's mask
-	// factoring is reused by every execution worker.
-	spec := &scalarWorkerSpec{g: g, cs: cs, naiveMasks: ex.opts.NaiveMasks}
-	if _, err := spec.newWorker(); err != nil {
-		return nil, true, err
-	}
-	parts, share, err := ex.scanSource(cs.scan, cs.prune)
+	// scan. The spec and the validation worker both survive: every execution
+	// worker shares the spec's mask factorings, and the validation worker
+	// becomes worker 0 (or lends its stages to the serial fallback).
+	in := newAggInputSpec(g.Aggs, layoutOf(g.Input), ex.opts.NaiveMasks)
+	spec := &scalarWorkerSpec{cs: cs, in: in}
+	first, err := spec.newWorker()
 	if err != nil {
 		return nil, true, err
 	}
-	ex.configureChainSkip(cs)
-	ex.metrics.addFusedPipelines(1)
-	morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
+	parts, src, morsels, err := ex.openChain(cs)
+	if err != nil {
+		return nil, true, err
+	}
 	if len(morsels) <= 1 {
-		in, err := ex.serialChain(cs, parts, share)
+		acc, err := newGroupAccumulator(in, nil, ex.tracker, ex.mempool.SpillDir())
 		if err != nil {
 			return nil, true, err
 		}
-		it, err := ex.serialScalarGroupBy(g, in)
-		return it, true, err
+		return &groupByIter{
+			in: ex.serialChain(parts, src, first.stages), acc: acc, scalar: true,
+			batchSize: ex.opts.BatchSize, m: ex.metrics,
+		}, true, nil
 	}
-	it, err := newScalarAggIter(ex, spec, morsels, share)
+	run := newOrderedRun[scalarMorselOut](len(morsels), ex.opts.Parallelism)
+	workers, err := perWorker(run.workers, first, spec.newWorker)
 	if err != nil {
 		return nil, true, err
 	}
-	ex.closers = append(ex.closers, it.run.close)
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
-	return it, true, nil
+	ex.closeChain(run.close, src.share)
+	return &scalarAggIter{run: run, src: src, morsels: morsels, workers: workers, aggs: in.aggs.aggs}, true, nil
 }
 
-// scalarWorker is one worker's chain stages plus aggregate evaluation state
+// scalarWorker is one worker's chain stages plus its aggregate input
 // (evaluators own scratch buffers and are bound to one goroutine).
 type scalarWorker struct {
-	stages    []pipeStage
-	aggs      *compiledAggs
-	family    *maskFamily
-	maskEvs   []*batchEvaluator
-	nMasks    int
-	argEvs    []*batchEvaluator
-	sensitive []bool
-
-	// per-batch scratch
-	maskLog [][]int
-	maskSub []*vec.Batch
+	*aggInput
+	stages []pipeStage
 }
 
 // scalarWorkerSpec builds scalarWorkers for one sink, sharing the
-// worker-independent analysis: the chain's stage factoring lives on cs
-// (stageSpec.famSpec) and the aggregate mask-family factoring is cached here
-// after the first worker builds it. Workers are constructed sequentially on
-// the coordinator goroutine, so the cache needs no lock. Evaluators and
-// compiled bitmap closures own scratch and stay per-worker.
+// worker-independent analysis: the chain's filter factorings live on cs and
+// the aggregate masks' on in. Workers are constructed sequentially on the
+// coordinator goroutine, so neither cache needs a lock.
 type scalarWorkerSpec struct {
-	g          *logical.GroupBy
-	cs         *chainSpec
-	naiveMasks bool
-	famSpec    *maskFamilySpec
+	cs *chainSpec
+	in *aggInputSpec
 }
 
 func (sp *scalarWorkerSpec) newWorker() (*scalarWorker, error) {
-	g := sp.g
-	stages, err := newPipeStages(sp.cs, sp.naiveMasks)
+	stages, err := newPipeStages(sp.cs)
 	if err != nil {
 		return nil, err
 	}
-	layout := layoutOf(g.Input)
-	aggs, err := compileAggs(g.Aggs, layout)
+	in, err := sp.in.instantiate()
 	if err != nil {
 		return nil, err
 	}
-	nMasks := len(aggs.maskAst)
-	var family *maskFamily
-	var maskEvs []*batchEvaluator
-	if sp.naiveMasks {
-		maskEvs = make([]*batchEvaluator, nMasks)
-		for i, ast := range aggs.maskAst {
-			if maskEvs[i], err = newBatchEvaluator(ast, layout); err != nil {
-				return nil, err
-			}
-		}
-	} else if nMasks > 0 {
-		// compileAggs derives maskAst deterministically from g.Aggs, so the
-		// factoring cached off the first worker's ASTs is valid for them all.
-		if sp.famSpec == nil {
-			sp.famSpec = newMaskFamilySpec(aggs.maskAst, layout)
-		}
-		if family, err = sp.famSpec.instantiate(); err != nil {
-			return nil, err
-		}
-	}
-	argEvs := make([]*batchEvaluator, len(g.Aggs))
-	sensitive := make([]bool, len(g.Aggs))
-	for i, a := range g.Aggs {
-		if argEvs[i], err = newBatchEvaluator(a.Agg.Arg, layout); err != nil {
-			return nil, err
-		}
-		sensitive[i] = orderSensitive(a.Agg)
-	}
-	return &scalarWorker{
-		stages: stages, aggs: aggs, family: family, maskEvs: maskEvs, nMasks: nMasks,
-		argEvs: argEvs, sensitive: sensitive,
-		maskLog: make([][]int, nMasks), maskSub: make([]*vec.Batch, nMasks),
-	}, nil
+	return &scalarWorker{aggInput: in, stages: stages}, nil
 }
 
 // sensChunk is one batch's shipped argument values for an order-sensitive
@@ -190,170 +111,58 @@ type scalarMorselOut struct {
 	err    error
 }
 
-// consume folds one chain-output batch into the morsel's partials. Mask
-// evaluation mirrors the group accumulator: the family kernel computes every
-// distinct mask's truth bitmap in one pass, the NaiveMasks baseline one
-// value vector per mask. Shipped values are copied out of evaluator scratch.
+// consume folds one chain-output batch into the morsel's partials: each
+// aggregate's masked rows fold into its partial state, or — for the
+// order-sensitive ones — ship as values copied out of evaluator scratch.
 func (sw *scalarWorker) consume(b *vec.Batch, out *scalarMorselOut) {
-	n := b.Len()
-	var truths []*vec.Bitmap
-	if sw.family != nil {
-		truths = sw.family.eval(b)
-	}
-	for mi := 0; mi < sw.nMasks; mi++ {
-		mlog := sw.maskLog[mi][:0]
-		phys := make([]int, 0, n)
-		if truths != nil {
-			t := truths[mi]
-			for i := 0; i < n; i++ {
-				if t.True(i) {
-					mlog = append(mlog, i)
-					phys = append(phys, b.RowIdx(i))
-				}
-			}
-		} else {
-			vals := sw.maskEvs[mi].eval(b)
-			for i := 0; i < n; i++ {
-				if vals[i].IsTrue() {
-					mlog = append(mlog, i)
-					phys = append(phys, b.RowIdx(i))
-				}
-			}
-		}
-		sw.maskLog[mi] = mlog
-		sw.maskSub[mi] = b.WithSel(phys)
-	}
+	sw.evalMasks(b)
 	for ai := range sw.aggs.aggs {
-		a := &sw.aggs.aggs[ai]
-		sub := b
-		if a.maskIdx >= 0 {
-			if len(sw.maskLog[a.maskIdx]) == 0 {
-				continue
-			}
-			sub = sw.maskSub[a.maskIdx]
-		}
-		count := sub.Len()
-		var vals []types.Value
-		if sw.argEvs[ai] != nil {
-			vals = sw.argEvs[ai].eval(sub)
-		}
-		if sw.sensitive[ai] {
-			ck := sensChunk{f: make([]float64, len(vals)), null: make([]bool, len(vals))}
-			for j, v := range vals {
-				if v.Null {
-					ck.null[j] = true
-				} else if v.Kind == types.KindFloat64 {
-					ck.f[j] = v.F
-				} else {
-					ck.f[j] = float64(v.I)
-				}
-			}
-			out.sens[ai] = append(out.sens[ai], ck)
+		sub, _, vals, ok := sw.input(ai, b)
+		if !ok {
 			continue
 		}
-		st := &out.states[ai]
-		fn := a.agg.Fn
-		if vals == nil {
-			for j := 0; j < count; j++ {
-				st.add(fn, types.Value{})
-			}
-		} else {
-			for j := range vals {
-				st.add(fn, vals[j])
+		if a := &sw.aggs.aggs[ai]; !a.sensitive {
+			out.states[ai].addAll(a.agg.Fn, vals, sub.Len())
+			continue
+		}
+		ck := sensChunk{f: make([]float64, len(vals)), null: make([]bool, len(vals))}
+		for j, v := range vals {
+			if v.Null {
+				ck.null[j] = true
+			} else if v.Kind == types.KindFloat64 {
+				ck.f[j] = v.F
+			} else {
+				ck.f[j] = float64(v.I)
 			}
 		}
+		out.sens[ai] = append(out.sens[ai], ck)
 	}
 }
 
 // scalarAggIter drives the scalar-aggregation sink: morsel-ordered partial
 // delivery, deterministic merge, one output row.
 type scalarAggIter struct {
-	run       *orderedRun[scalarMorselOut]
-	morsels   []morsel
-	cols      []string
-	batchSize int
-	m         *Metrics
-	pool      *workerPool
-	share     *scanshare.Scan
-	ctrl      *skipController
-	workers   []*scalarWorker
-	aggCalls  []expr.AggCall
-	sensitive []bool
+	run     *orderedRun[scalarMorselOut]
+	src     *morselSource
+	morsels []morsel
+	workers []*scalarWorker
+	aggs    []compiledAgg
 
 	built bool
 	out   *vec.Batch
 }
 
-func newScalarAggIter(ex *executor, spec *scalarWorkerSpec, morsels []morsel, share *scanshare.Scan) (*scalarAggIter, error) {
-	g := spec.g
-	run := newOrderedRun[scalarMorselOut](len(morsels), ex.opts.Parallelism)
-	workers := make([]*scalarWorker, run.workers)
-	for w := range workers {
-		sw, err := spec.newWorker()
-		if err != nil {
-			return nil, err
-		}
-		workers[w] = sw
-	}
-	aggCalls := make([]expr.AggCall, len(g.Aggs))
-	sensitive := make([]bool, len(g.Aggs))
-	for i, a := range g.Aggs {
-		aggCalls[i] = a.Agg
-		sensitive[i] = orderSensitive(a.Agg)
-	}
-	ctrl, _ := ex.lookupScanCtrl(spec.cs.scan)
-	return &scalarAggIter{
-		run: run, morsels: morsels, cols: spec.cs.scan.ColNames,
-		batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool, share: share,
-		ctrl: ctrl, workers: workers, aggCalls: aggCalls, sensitive: sensitive,
-	}, nil
-}
-
 func (it *scalarAggIter) work(w, i int) scalarMorselOut {
-	// Decode, fused stages and accumulation are the CPU work; they run under
-	// one shared pool slot like the pull scan's morsel decode. All metric
-	// charges happen worker-side (order-independent sums; the sink always
-	// drains totally, so totals match the pull path exactly).
-	it.pool.acquire()
-	defer it.pool.release()
 	sw := it.workers[w]
 	out := scalarMorselOut{
-		states: make([]aggState, len(it.aggCalls)),
-		sens:   make([][]sensChunk, len(it.aggCalls)),
+		states: make([]aggState, len(it.aggs)),
+		sens:   make([][]sensChunk, len(it.aggs)),
 	}
-	var src []*vec.Batch
-	var err error
-	co := batchCoalescer{target: it.batchSize}
-	push := func(cb *vec.Batch) {
-		it.m.addProcessed(int64(cb.Len()))
-		it.m.addPipelineBatches(1)
-		ob := runStages(sw.stages, cb, it.m)
-		if ob == nil || ob.Len() == 0 {
-			return
-		}
-		it.m.addProcessed(int64(ob.Len())) // the aggregation's input charge
+	out.err = it.src.runChain(it.morsels[i].parts, sw.stages, it.run.stop, func(ob *vec.Batch) {
+		it.src.m.addProcessed(int64(ob.Len())) // the aggregation's input charge
 		out.rows += int64(ob.Len())
 		sw.consume(ob, &out)
-	}
-	for _, p := range it.morsels[i].parts {
-		if it.ctrl.shouldPrune(p) {
-			// The sink drains totally, so the as-if-scanned recharge can
-			// happen worker-side like every other charge here.
-			it.ctrl.recharge(int64(p.NumRows))
-			continue
-		}
-		if src, err = partitionBatches(p, it.cols, it.batchSize, it.share, it.run.stop, it.m, src[:0]); err != nil {
-			return scalarMorselOut{err: err}
-		}
-		for _, b := range src {
-			if cb := co.add(b); cb != nil {
-				push(cb)
-			}
-		}
-	}
-	if cb := co.flush(); cb != nil {
-		push(cb)
-	}
+	})
 	return out
 }
 
@@ -365,7 +174,7 @@ func (it *scalarAggIter) NextBatch() (*vec.Batch, error) {
 	}
 	it.built = true
 	it.run.start(it.work)
-	final := make([]aggState, len(it.aggCalls))
+	final := make([]aggState, len(it.aggs))
 	var totalRows int64
 	for {
 		res, ok := it.run.recv()
@@ -378,7 +187,7 @@ func (it *scalarAggIter) NextBatch() (*vec.Batch, error) {
 		}
 		totalRows += res.rows
 		for ai := range final {
-			if it.sensitive[ai] {
+			if it.aggs[ai].sensitive {
 				// The replay is aggState.add for SUM/AVG unrolled over the
 				// shipped chunks: identical additions in identical order.
 				st := &final[ai]
@@ -393,7 +202,7 @@ func (it *scalarAggIter) NextBatch() (*vec.Batch, error) {
 					}
 				}
 			} else {
-				final[ai].merge(it.aggCalls[ai].Fn, &res.states[ai])
+				final[ai].merge(it.aggs[ai].agg.Fn, &res.states[ai])
 			}
 		}
 	}
@@ -402,17 +211,15 @@ func (it *scalarAggIter) NextBatch() (*vec.Batch, error) {
 	// consumed row and charges it to HashRows; empty input emits the default
 	// row uncounted.
 	if totalRows > 0 {
-		it.m.addHashRows(1)
+		it.src.m.addHashRows(1)
 	}
 	for _, sw := range it.workers {
-		if sw.family != nil {
-			it.m.addMaskPrefixHits(sw.family.hits())
-		}
+		it.src.m.addMaskPrefixHits(sw.masks.hits())
 	}
-	bl := vec.NewBuilder(len(it.aggCalls), 1)
-	row := make(Row, len(it.aggCalls))
-	for ai := range it.aggCalls {
-		row[ai] = final[ai].result(it.aggCalls[ai])
+	bl := vec.NewBuilder(len(it.aggs), 1)
+	row := make(Row, len(it.aggs))
+	for ai := range it.aggs {
+		row[ai] = final[ai].result(it.aggs[ai].agg)
 	}
 	bl.Append(row)
 	return bl.Flush(), nil
@@ -426,42 +233,51 @@ func (it *scalarAggIter) NextBatch() (*vec.Batch, error) {
 // order — each run is a contiguous input range and ties break toward the
 // earliest, so the merged order is exactly one global stable sort.
 func (ex *executor) buildSortRunSink(s *logical.Sort) (BatchIterator, bool, error) {
-	cs, ok := compileChain(s.Input)
+	cs, ok := ex.execChain(s.Input)
 	if !ok {
 		return nil, false, nil
 	}
 	// Validate stage and key compilation before committing to the scan.
-	if _, err := newPipeStages(cs, ex.opts.NaiveMasks); err != nil {
-		return nil, true, err
-	}
-	if _, err := sortKeyEvs(s); err != nil {
-		return nil, true, err
-	}
-	parts, share, err := ex.scanSource(cs.scan, cs.prune)
+	stages, err := newPipeStages(cs)
 	if err != nil {
 		return nil, true, err
 	}
-	ex.configureChainSkip(cs)
-	ex.metrics.addFusedPipelines(1)
-	morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
+	evs, err := sortKeyEvs(s)
+	if err != nil {
+		return nil, true, err
+	}
+	parts, src, morsels, err := ex.openChain(cs)
+	if err != nil {
+		return nil, true, err
+	}
 	if len(morsels) <= 1 {
-		in, err := ex.serialChain(cs, parts, share)
+		it, err := ex.newSortIter(s, ex.serialChain(parts, src, stages))
+		return it, true, err
+	}
+	run := newOrderedRun[error](len(morsels), ex.opts.Parallelism)
+	wstages, err := perWorker(run.workers, stages, func() ([]pipeStage, error) { return newPipeStages(cs) })
+	if err != nil {
+		return nil, true, err
+	}
+	width := len(s.Input.Schema())
+	sink := &sortRunSink{
+		width: width, spillDir: ex.mempool.SpillDir(), tracker: ex.tracker,
+		byMorsel: make(map[int][]runRef),
+	}
+	wstates := make([]*sortWorkerState, run.workers)
+	for w := range wstates {
+		wevs, err := sortKeyEvs(s)
 		if err != nil {
 			return nil, true, err
 		}
-		it, err := ex.newSortIter(s, in)
-		return it, true, err
+		wstates[w] = &sortWorkerState{sink: sink, evs: wevs, keys: s.Keys, width: width}
 	}
-	it, err := newSortRunIter(ex, s, cs, morsels, share)
-	if err != nil {
-		return nil, true, err
-	}
-	ex.closers = append(ex.closers, it.run.close)
-	ex.onClose(it.sink.closeRuns)
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
-	return it, true, nil
+	ex.closeChain(run.close, src.share)
+	ex.onClose(sink.closeRuns)
+	return &sortRunIter{
+		run: run, src: src, morsels: morsels, width: width, keys: s.Keys, evs: evs,
+		tracker: ex.tracker, wstages: wstages, wstates: wstates, sink: sink,
+	}, true, nil
 }
 
 // writeSortedRun writes already-sorted rows out as one spill run.
@@ -684,99 +500,34 @@ func (sk *sortRunSink) deposit(mi int, srcs []runRef, resident int64) {
 // sortRunIter drives the sort-run sink: parallel run generation, then a
 // k-way merge over every run in (morsel, cut) order.
 type sortRunIter struct {
-	run       *orderedRun[error]
-	morsels   []morsel
-	cols      []string
-	batchSize int
-	width     int
-	keys      []logical.SortKey
-	evs       []*evaluator
-	m         *Metrics
-	pool      *workerPool
-	share     *scanshare.Scan
-	ctrl      *skipController
-	tracker   *memctl.Tracker
-	wstages   [][]pipeStage
-	wstates   []*sortWorkerState
-	sink      *sortRunSink
+	run     *orderedRun[error]
+	src     *morselSource
+	morsels []morsel
+	width   int
+	keys    []logical.SortKey
+	evs     []*evaluator
+	tracker *memctl.Tracker
+	wstages [][]pipeStage
+	wstates []*sortWorkerState
+	sink    *sortRunSink
 
 	built bool
 	merge *sortMerger
 }
 
-func newSortRunIter(ex *executor, s *logical.Sort, cs *chainSpec, morsels []morsel, share *scanshare.Scan) (*sortRunIter, error) {
-	run := newOrderedRun[error](len(morsels), ex.opts.Parallelism)
-	width := len(s.Input.Schema())
-	sink := &sortRunSink{
-		width: width, spillDir: ex.mempool.SpillDir(), tracker: ex.tracker,
-		byMorsel: make(map[int][]runRef),
-	}
-	wstages := make([][]pipeStage, run.workers)
-	wstates := make([]*sortWorkerState, run.workers)
-	for w := 0; w < run.workers; w++ {
-		st, err := newPipeStages(cs, ex.opts.NaiveMasks)
-		if err != nil {
-			return nil, err
-		}
-		wevs, err := sortKeyEvs(s)
-		if err != nil {
-			return nil, err
-		}
-		wstages[w] = st
-		wstates[w] = &sortWorkerState{sink: sink, evs: wevs, keys: s.Keys, width: width}
-	}
-	evs, err := sortKeyEvs(s)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, _ := ex.lookupScanCtrl(cs.scan)
-	return &sortRunIter{
-		run: run, morsels: morsels, cols: cs.scan.ColNames,
-		batchSize: ex.opts.BatchSize, width: width, keys: s.Keys, evs: evs,
-		m: ex.metrics, pool: ex.pool, share: share, ctrl: ctrl, tracker: ex.tracker,
-		wstages: wstages, wstates: wstates, sink: sink,
-	}, nil
-}
-
 func (it *sortRunIter) work(w, i int) error {
 	ws := it.wstates[w]
-	stages := it.wstages[w]
-	// Decode and the fused stage loop run under one shared pool slot; the
-	// slot is released before gathering, whose Reserve calls may block on
-	// spills and must never hold a slot.
-	it.pool.acquire()
-	var out, src []*vec.Batch
-	var err error
-	co := batchCoalescer{target: it.batchSize}
-	push := func(cb *vec.Batch) {
-		it.m.addProcessed(int64(cb.Len()))
-		it.m.addPipelineBatches(1)
-		if ob := runStages(stages, cb, it.m); ob != nil {
-			it.m.addProcessed(int64(ob.Len())) // the sort's input charge
-			out = append(out, ob)
-		}
+	// The chain's output is only collected under runChain's pool slot; the
+	// gather below runs after it is released, because its Reserve calls may
+	// block on spills and must never hold a slot.
+	var out []*vec.Batch
+	err := it.src.runChain(it.morsels[i].parts, it.wstages[w], it.run.stop, func(ob *vec.Batch) {
+		it.src.m.addProcessed(int64(ob.Len())) // the sort's input charge
+		out = append(out, ob)
+	})
+	if err != nil {
+		return err
 	}
-	for _, p := range it.morsels[i].parts {
-		if it.ctrl.shouldPrune(p) {
-			// The sink drains totally, so the as-if-scanned recharge can
-			// happen worker-side like every other charge here.
-			it.ctrl.recharge(int64(p.NumRows))
-			continue
-		}
-		if src, err = partitionBatches(p, it.cols, it.batchSize, it.share, it.run.stop, it.m, src[:0]); err != nil {
-			it.pool.release()
-			return err
-		}
-		for _, b := range src {
-			if cb := co.add(b); cb != nil {
-				push(cb)
-			}
-		}
-	}
-	if cb := co.flush(); cb != nil {
-		push(cb)
-	}
-	it.pool.release()
 	for _, ob := range out {
 		if err := ws.addBatch(ob); err != nil {
 			ws.abandonMorsel()
@@ -844,7 +595,7 @@ func (it *sortRunIter) build() error {
 	}
 	it.merge = &sortMerger{
 		cursors: cursors, evs: it.evs, keys: it.keys,
-		width: it.width, batchSize: it.batchSize,
+		width: it.width, batchSize: it.src.batchSize,
 	}
 	return nil
 }

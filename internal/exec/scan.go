@@ -93,70 +93,68 @@ func splitPartitionPruneCond(scan *logical.Scan, cond expr.Expr) (storage.Pruner
 	return pruner, pruneCond, partCol, expr.And(residual...)
 }
 
-// newFilterIter compiles a filter predicate. The default path is a
-// single-mask family — flattened conjuncts evaluated progressively over
-// shrinking survivors, with bitmap intermediates; under Options.NaiveMasks
-// the predicate compiles to one value-vector batch evaluator instead.
+// newFilterIter compiles a filter predicate as a single-mask set: on the
+// default engine that is a one-mask family — flattened conjuncts evaluated
+// progressively over shrinking survivors, with bitmap intermediates.
 func (ex *executor) newFilterIter(in BatchIterator, cond expr.Expr, layout map[expr.ColumnID]int) (BatchIterator, error) {
-	if ex.opts.NaiveMasks {
-		ev, err := newBatchEvaluator(cond, layout)
-		if err != nil {
-			return nil, err
-		}
-		return &filterIter{in: in, cond: ev, m: ex.metrics}, nil
-	}
-	fam, err := newMaskFamily([]expr.Expr{cond}, layout)
+	mask, err := newMaskSetSpec([]expr.Expr{cond}, layout, ex.opts.NaiveMasks).instantiate()
 	if err != nil {
 		return nil, err
 	}
-	return &filterIter{in: in, fam: fam, m: ex.metrics}, nil
+	return &filterIter{in: in, mask: mask, m: ex.metrics}, nil
 }
 
-// scanSource resolves a scan leaf's partitions and, with sharing on, opens
-// its scan-share session. Shared by the pull scan builder and the
-// push-pipeline compiler so both charge the same BytesScanned and decode
-// accounting. The session closes after the leaf's workers drain (closers
-// run in append order), so callers must append it after their own closer.
-func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storage.Partition, *scanshare.Scan, error) {
+// scanSource resolves a scan leaf's partitions and assembles what decoding
+// them needs: the scan-share session when sharing is on, and the leaf's
+// freshly registered skip controller. Shared by the pull scan builder and
+// the push-pipeline compiler so both charge the same BytesScanned and decode
+// accounting.
+func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storage.Partition, *morselSource, error) {
 	parts, err := ex.store.ScanPartitions(s.Table.Name, s.ColNames, prune, &ex.metrics.Storage)
 	if err != nil {
 		return nil, nil, err
 	}
-	var share *scanshare.Scan
+	src := &morselSource{cols: s.ColNames, batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool}
 	if ex.share != nil {
-		share = ex.share.Open(s.Table.Name, parts, s.ColNames, &ex.metrics.Share)
+		src.share = ex.share.Open(s.Table.Name, parts, s.ColNames, &ex.metrics.Share)
 	}
 	if !ex.opts.NoSkip {
 		// Register a skip controller for this leaf; the filter, chain
 		// compiler, or a hash join above will configure it with predicates.
-		ex.registerScanCtrl(s, &skipController{m: ex.metrics, cols: s.ColNames, rcDepth: ex.rcDepth})
+		src.ctrl = &skipController{m: ex.metrics, cols: s.ColNames, rcDepth: ex.rcDepth}
+		ex.registerScanCtrl(s, src.ctrl)
 	}
-	return parts, share, nil
+	return parts, src, nil
 }
 
-func (ex *executor) buildScan(s *logical.Scan, prune storage.Pruner) (BatchIterator, error) {
-	parts, share, err := ex.scanSource(s, prune)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, _ := ex.lookupScanCtrl(s)
-	if ex.opts.Parallelism > 1 {
-		morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
-		if len(morsels) > 1 {
-			it := newParallelScan(s.ColNames, morsels, ex.opts.BatchSize, ex.opts.Parallelism, ex.metrics, ex.pool)
-			it.share = share
-			it.ctrl = ctrl
-			ex.closers = append(ex.closers, it.close)
-			if share != nil {
-				ex.closers = append(ex.closers, share.Close)
-			}
-			return it, nil
-		}
+// closeChain registers a scan leaf's or fused chain's shutdown: stop (nil
+// for the serial forms, which own no goroutines) halts the workers and
+// waits for them to drain, and only then does the scan-share session close
+// — closers run in append order.
+func (ex *executor) closeChain(stop func(), share *scanshare.Scan) {
+	if stop != nil {
+		ex.closers = append(ex.closers, stop)
 	}
 	if share != nil {
 		ex.closers = append(ex.closers, share.Close)
 	}
-	return &scanIter{cols: s.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: share, ctrl: ctrl}, nil
+}
+
+func (ex *executor) buildScan(s *logical.Scan, prune storage.Pruner) (BatchIterator, error) {
+	parts, src, err := ex.scanSource(s, prune)
+	if err != nil {
+		return nil, err
+	}
+	if ex.opts.Parallelism > 1 {
+		morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
+		if len(morsels) > 1 {
+			it := newParallelScan(src, morsels, ex.opts.Parallelism)
+			ex.closeChain(it.run.close, src.share)
+			return it, nil
+		}
+	}
+	ex.closeChain(nil, src.share)
+	return &scanIter{src: src, parts: parts}, nil
 }
 
 // decodePartition is the single decode entry point for both scan leaves:
@@ -181,12 +179,8 @@ func decodePartition(p *storage.Partition, cols []string, share *scanshare.Scan,
 // chunks in one pass (the batch analogue of Parquet decode work) and emits
 // zero-copy batch-sized windows over the decoded vectors.
 type scanIter struct {
-	cols      []string
-	parts     []*storage.Partition
-	batchSize int
-	m         *Metrics
-	share     *scanshare.Scan
-	ctrl      *skipController
+	src   *morselSource
+	parts []*storage.Partition
 
 	part    int
 	decoded [][]types.Value
@@ -195,21 +189,22 @@ type scanIter struct {
 }
 
 func (it *scanIter) NextBatch() (*vec.Batch, error) {
+	src := it.src
 	for {
 		if it.decoded == nil {
 			if it.part >= len(it.parts) {
 				return nil, nil
 			}
 			p := it.parts[it.part]
-			if it.ctrl.shouldPrune(p) {
+			if src.ctrl.shouldPrune(p) {
 				// The serial scan runs in its consumer's pull, so recharging
 				// here lands at exactly the stream position the partition's
 				// batches would have occupied — LIMIT truncation included.
-				it.ctrl.recharge(int64(p.NumRows))
+				src.ctrl.recharge(int64(p.NumRows))
 				it.part++
 				continue
 			}
-			d, err := decodePartition(p, it.cols, it.share, nil, it.m)
+			d, err := decodePartition(p, src.cols, src.share, nil, src.m)
 			if err != nil {
 				return nil, err
 			}
@@ -220,7 +215,7 @@ func (it *scanIter) NextBatch() (*vec.Batch, error) {
 			it.part++
 			continue
 		}
-		hi := it.off + it.batchSize
+		hi := it.off + src.batchSize
 		if hi > it.rows {
 			hi = it.rows
 		}
@@ -230,18 +225,16 @@ func (it *scanIter) NextBatch() (*vec.Batch, error) {
 		}
 		n := hi - it.off
 		it.off = hi
-		it.m.addProcessed(int64(n))
+		src.m.addProcessed(int64(n))
 		return vec.NewDense(cols, n), nil
 	}
 }
 
 // filterIter qualifies rows by building a selection vector over its input
-// batches — survivors are never materialized here, only marked. Exactly
-// one of fam (bitmap mask family) and cond (naive baseline) is set.
+// batches — survivors are never materialized here, only marked.
 type filterIter struct {
 	in   BatchIterator
-	fam  *maskFamily
-	cond *batchEvaluator
+	mask *maskSet
 	m    *Metrics
 }
 
@@ -251,40 +244,9 @@ func (it *filterIter) NextBatch() (*vec.Batch, error) {
 		if b == nil || err != nil {
 			return nil, err
 		}
-		n := b.Len()
-		it.m.addProcessed(int64(n))
-		var sel []int
-		if it.fam != nil {
-			truth := it.fam.eval(b)[0]
-			count := truth.Count()
-			if count == n && b.Sel == nil {
-				return b, nil
-			}
-			if count == 0 {
-				continue
-			}
-			sel = make([]int, 0, count)
-			for i := 0; i < n; i++ {
-				if truth.True(i) {
-					sel = append(sel, b.RowIdx(i))
-				}
-			}
-			return b.WithSel(sel), nil
-		}
-		vals := it.cond.eval(b)
-		sel = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			if vals[i].IsTrue() {
-				sel = append(sel, b.RowIdx(i))
-			}
-		}
-		switch {
-		case len(sel) == 0:
-			continue
-		case len(sel) == n && b.Sel == nil:
-			return b, nil
-		default:
-			return b.WithSel(sel), nil
+		it.m.addProcessed(int64(b.Len()))
+		if out := narrow(b, it.mask.eval(b)[0]); out != nil {
+			return out, nil
 		}
 	}
 }

@@ -278,6 +278,59 @@ func TestSkipScalarAggAndSortSinks(t *testing.T) {
 	filt2 := logical.NewFilter(s2, expr.NewBinary(expr.OpGe, expr.Ref(s2.ColumnFor("f_v")), expr.Lit(types.Int(300))))
 	srt := &logical.Sort{Input: filt2, Keys: []logical.SortKey{{E: expr.Ref(s2.ColumnFor("f_w")), Desc: true}}}
 	runSkipDiff(t, st, srt, true)
+
+	// The three runChain emit targets — the plain chain (append), the scalar
+	// sink (fold) and the sort sink (append, gather after the slot) — over
+	// the same prunable chain, at a batch size small enough that the fixture
+	// cuts into one morsel per partition, so the parallel forms run instead
+	// of their one-morsel serial fallback. All pruned-partition recharges are
+	// worker-side there; each consumer must still agree with its pull twin.
+	s3 := scanOf(t, st, "fact")
+	chain := logical.NewFilter(s3, expr.NewBinary(expr.OpGe, expr.Ref(s3.ColumnFor("f_v")), expr.Lit(types.Int(300))))
+	push := Options{Parallelism: 4, BatchSize: 8}
+	pull := Options{Parallelism: 4, BatchSize: 8, PullExec: true}
+	var batches []int64
+	for name, plan := range map[string]logical.Operator{"chain": chain, "scalar-agg": agg, "sort": srt} {
+		got, err := RunWith(plan, st, push)
+		if err != nil {
+			t.Fatalf("%s: push run: %v", name, err)
+		}
+		ref, err := RunWith(plan, st, pull)
+		if err != nil {
+			t.Fatalf("%s: pull run: %v", name, err)
+		}
+		if rowsKey(got.Rows) != rowsKey(ref.Rows) {
+			t.Fatalf("%s: rows diverge from the pull twin (%d vs %d rows)", name, len(got.Rows), len(ref.Rows))
+		}
+		if got.Metrics.RowsProcessed != ref.Metrics.RowsProcessed {
+			t.Fatalf("%s: RowsProcessed = %d, pull twin %d", name, got.Metrics.RowsProcessed, ref.Metrics.RowsProcessed)
+		}
+		if p := got.Metrics.Skip.PartitionsPruned; p != 3 || p != ref.Metrics.Skip.PartitionsPruned {
+			t.Fatalf("%s: PartitionsPruned = %d, pull twin %d, want 3", name, p, ref.Metrics.Skip.PartitionsPruned)
+		}
+		if got.Metrics.Pipeline.FusedPipelines != 1 || ref.Metrics.Pipeline.FusedPipelines != 0 {
+			t.Fatalf("%s: FusedPipelines = %d (pull twin %d)", name,
+				got.Metrics.Pipeline.FusedPipelines, ref.Metrics.Pipeline.FusedPipelines)
+		}
+		batches = append(batches, got.Metrics.Pipeline.PipelineBatches)
+	}
+	if batches[0] == 0 || batches[1] != batches[0] || batches[2] != batches[0] {
+		t.Fatalf("PipelineBatches differ across consumers of one chain: %v", batches)
+	}
+	// Non-vacuity: coalescing is per morsel, so with nothing pruned the
+	// morsel-parallel chain pushes more (shorter) batches than the serial one.
+	par, err := RunWith(chain, st, Options{Parallelism: 4, BatchSize: 8, NoSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser, err := RunWith(chain, st, Options{Parallelism: 1, BatchSize: 8, NoSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Metrics.Pipeline.PipelineBatches <= ser.Metrics.Pipeline.PipelineBatches {
+		t.Fatalf("parallel chain pushed %d batches, serial %d: the fixture no longer cuts into several morsels",
+			par.Metrics.Pipeline.PipelineBatches, ser.Metrics.Pipeline.PipelineBatches)
+	}
 }
 
 func TestSidewaysJoinFilter(t *testing.T) {
