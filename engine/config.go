@@ -35,9 +35,9 @@ type Config struct {
 	// reference shape every differential test compares against.
 	BatchSize int
 	// ShareScans opts this engine's queries into cross-query scan sharing:
-	// concurrent queries over the same partitions of the same store share
-	// chunk-decode work (late arrivals attach to in-flight morsel streams)
-	// and misses are backed by a bounded decoded-chunk cache. Results and
+	// column chunks are decoded through a bounded decoded-chunk cache owned
+	// by the store, so a chunk any earlier or concurrent query over the same
+	// partitions already decoded is not decoded again. Results and
 	// Metrics.Storage.BytesScanned are identical either way — only the
 	// physical work reported by Metrics.Share.BytesDecoded changes. Sharing
 	// spans every engine over the same store (see OpenWithStore), whatever

@@ -518,7 +518,7 @@ func TestDifferentialSkipSelective(t *testing.T) {
 
 // TestDifferentialSharedScans is the shared-vs-unshared differential mode:
 // one query set runs concurrently (staggered, with repeats, so queries
-// attach to each other's in-flight scans and hit the chunk cache) under
+// race each other's cold decodes and hit the chunk cache) under
 // ShareScans off and on, across parallel configurations and fusion
 // settings. Every run must reproduce the serial unshared reference
 // byte-for-byte, with identical per-query row counts and BytesScanned —

@@ -32,7 +32,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/memctl"
 	"repro/internal/optimizer"
-	"repro/internal/scanshare"
 	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/xfuse"
@@ -203,10 +202,9 @@ func (e *Engine) endQuery() { e.queries.Done() }
 
 // Close shuts the engine down: new queries fail with ErrEngineClosed,
 // in-flight queries (including fused shared runs) are drained to
-// completion, the resident worker pool is released, and any chunk decodes
-// this engine led through the store's scan-share manager are allowed to
-// resolve. The store itself is untouched — other engines over it keep
-// working — and Close is idempotent.
+// completion, and the resident worker pool is released. The store itself
+// is untouched — other engines over it keep working, and its scan-share
+// cache stays warm for them — and Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -222,11 +220,6 @@ func (e *Engine) Close() error {
 	}
 	e.queries.Wait()
 	e.workers.Close()
-	if e.config.ShareScans {
-		// Wait out in-flight chunk decodes (bounded, pure CPU); open streams
-		// may belong to other engines over the same store and are left alone.
-		scanshare.For(e.store, e.config.ScanCacheBytes).Quiesce()
-	}
 	return nil
 }
 

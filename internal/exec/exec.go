@@ -58,10 +58,10 @@ type Options struct {
 	// DefaultBatchSize; 1 degenerates to row-at-a-time execution (the
 	// equivalence baseline).
 	BatchSize int
-	// ShareScans attaches this run's scan leaves to the store's cross-query
-	// scan-share manager: chunk decodes are deduplicated against concurrent
-	// queries over the same partitions and backed by a bounded decoded-chunk
-	// cache. Results are identical either way; only physical decode work
+	// ShareScans decodes this run's scan leaves through the store's bounded
+	// decoded-chunk cache (internal/scanshare), so chunks an earlier or
+	// concurrent query already decoded are not decoded again. Results are
+	// identical either way; only physical decode work
 	// (Metrics.Share.BytesDecoded) changes.
 	ShareScans bool
 	// ScanCacheBytes bounds the shared decoded-chunk cache (estimated
@@ -346,8 +346,8 @@ type executor struct {
 	opts    Options
 	pool    *workerPool
 	spools  map[int]*spoolState
-	// share is the store's cross-query scan-share manager, nil when
-	// Options.ShareScans is off.
+	// share is the store's decoded-chunk cache, nil when Options.ShareScans
+	// is off.
 	share *scanshare.Manager
 	// rcache is the store's semantic result cache, nil when
 	// Options.ResultCacheBytes is 0. rcDepth > 0 while building inside a

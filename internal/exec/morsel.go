@@ -54,11 +54,10 @@ func morselTarget(parts []*storage.Partition, batchSize, parallelism int) int {
 }
 
 // partitionBatches decodes one partition's columns in a single pass each —
-// through the scan-share session when one is open — and slices the vectors
-// into dense batches (zero-copy subslices). stop abandons waits on other
-// queries' in-flight decodes when this query goes away early.
-func partitionBatches(p *storage.Partition, cols []string, batchSize int, share *scanshare.Scan, stop <-chan struct{}, m *Metrics, dst []*vec.Batch) ([]*vec.Batch, error) {
-	decoded, err := decodePartition(p, cols, share, stop, m)
+// through the scan-share cache when sharing is on — and slices the vectors
+// into dense batches (zero-copy subslices).
+func partitionBatches(p *storage.Partition, cols []string, batchSize int, share *scanshare.Manager, m *Metrics, dst []*vec.Batch) ([]*vec.Batch, error) {
+	decoded, err := decodePartition(p, cols, share, m)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +77,7 @@ func partitionBatches(p *storage.Partition, cols []string, batchSize int, share 
 
 // morselSource is everything a worker needs to turn a scan leaf's partitions
 // into batches: the column list and batch size, the run's metrics and CPU
-// pool, the scan-share session (nil when sharing is off) and the leaf's
+// pool, the store's scan-share cache (nil when sharing is off) and the leaf's
 // skip controller (nil under Options.NoSkip; its methods are nil-safe).
 // scanSource assembles one per built leaf, and every scan form — serial,
 // morsel-parallel, fused chain — decodes through it.
@@ -87,7 +86,7 @@ type morselSource struct {
 	batchSize int
 	m         *Metrics
 	pool      *workerPool
-	share     *scanshare.Scan
+	share     *scanshare.Manager
 	ctrl      *skipController
 }
 
@@ -104,7 +103,7 @@ type morselSource struct {
 // under LIMIT (executor.noPush), so every consumer drains totally and only
 // the totals matter, not the stream position. Consumers add their own input
 // charge in emit.
-func (src *morselSource) runChain(parts []*storage.Partition, stages []pipeStage, stop <-chan struct{}, emit func(*vec.Batch)) error {
+func (src *morselSource) runChain(parts []*storage.Partition, stages []pipeStage, emit func(*vec.Batch)) error {
 	src.pool.acquire()
 	defer src.pool.release()
 	co := batchCoalescer{target: src.batchSize}
@@ -122,7 +121,7 @@ func (src *morselSource) runChain(parts []*storage.Partition, stages []pipeStage
 			src.ctrl.recharge(int64(p.NumRows))
 			continue
 		}
-		if decoded, err = partitionBatches(p, src.cols, src.batchSize, src.share, stop, src.m, decoded[:0]); err != nil {
+		if decoded, err = partitionBatches(p, src.cols, src.batchSize, src.share, src.m, decoded[:0]); err != nil {
 			return err
 		}
 		for _, b := range decoded {
@@ -186,7 +185,7 @@ func (it *parallelScanIter) work(_, i int) morselResult {
 			items = append(items, morselItem{skip: int64(p.NumRows)})
 			continue
 		}
-		batches, err := partitionBatches(p, src.cols, src.batchSize, src.share, it.run.stop, src.m, nil)
+		batches, err := partitionBatches(p, src.cols, src.batchSize, src.share, src.m, nil)
 		if err != nil {
 			return morselResult{err: err}
 		}

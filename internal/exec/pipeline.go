@@ -294,7 +294,7 @@ func (ex *executor) newChainIterator(cs *chainSpec) (BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex.closeChain(run.close, src.share)
+	ex.onClose(run.close)
 	return &pipelineIter{run: run, src: src, morsels: morsels, wstages: wstages}, nil
 }
 
@@ -320,7 +320,6 @@ func (ex *executor) openChain(cs *chainSpec) ([]*storage.Partition, *morselSourc
 // serialChain is the fused loop without workers, over an opened chain and
 // the stage instance its caller compiled for validation.
 func (ex *executor) serialChain(parts []*storage.Partition, src *morselSource, stages []pipeStage) BatchIterator {
-	ex.closeChain(nil, src.share)
 	return &chainIter{
 		src: &scanIter{src: src, parts: parts}, stages: stages, m: ex.metrics,
 		co: batchCoalescer{target: ex.opts.BatchSize},
@@ -546,7 +545,7 @@ type pipelineIter struct {
 
 func (it *pipelineIter) work(w, i int) morselResult {
 	var res morselResult
-	res.err = it.src.runChain(it.morsels[i].parts, it.wstages[w], it.run.stop, func(ob *vec.Batch) {
+	res.err = it.src.runChain(it.morsels[i].parts, it.wstages[w], func(ob *vec.Batch) {
 		res.batches = append(res.batches, ob)
 	})
 	return res

@@ -59,7 +59,7 @@ func (ex *executor) buildScalarAggSink(g *logical.GroupBy) (BatchIterator, bool,
 	if err != nil {
 		return nil, true, err
 	}
-	ex.closeChain(run.close, src.share)
+	ex.onClose(run.close)
 	return &scalarAggIter{run: run, src: src, morsels: morsels, workers: workers, aggs: in.aggs.aggs}, true, nil
 }
 
@@ -158,7 +158,7 @@ func (it *scalarAggIter) work(w, i int) scalarMorselOut {
 		states: make([]aggState, len(it.aggs)),
 		sens:   make([][]sensChunk, len(it.aggs)),
 	}
-	out.err = it.src.runChain(it.morsels[i].parts, sw.stages, it.run.stop, func(ob *vec.Batch) {
+	out.err = it.src.runChain(it.morsels[i].parts, sw.stages, func(ob *vec.Batch) {
 		it.src.m.addProcessed(int64(ob.Len())) // the aggregation's input charge
 		out.rows += int64(ob.Len())
 		sw.consume(ob, &out)
@@ -272,7 +272,7 @@ func (ex *executor) buildSortRunSink(s *logical.Sort) (BatchIterator, bool, erro
 		}
 		wstates[w] = &sortWorkerState{sink: sink, evs: wevs, keys: s.Keys, width: width}
 	}
-	ex.closeChain(run.close, src.share)
+	ex.onClose(run.close)
 	ex.onClose(sink.closeRuns)
 	return &sortRunIter{
 		run: run, src: src, morsels: morsels, width: width, keys: s.Keys, evs: evs,
@@ -521,7 +521,7 @@ func (it *sortRunIter) work(w, i int) error {
 	// gather below runs after it is released, because its Reserve calls may
 	// block on spills and must never hold a slot.
 	var out []*vec.Batch
-	err := it.src.runChain(it.morsels[i].parts, it.wstages[w], it.run.stop, func(ob *vec.Batch) {
+	err := it.src.runChain(it.morsels[i].parts, it.wstages[w], func(ob *vec.Batch) {
 		it.src.m.addProcessed(int64(ob.Len())) // the sort's input charge
 		out = append(out, ob)
 	})

@@ -86,9 +86,7 @@ func absorb(parent, priv *Metrics) {
 	parent.Storage.AddRows(atomic.LoadInt64(&priv.Storage.RowsScanned))
 	atomic.AddInt64(&parent.Share.BytesDecoded, atomic.LoadInt64(&priv.Share.BytesDecoded))
 	atomic.AddInt64(&parent.Share.ChunksDecoded, atomic.LoadInt64(&priv.Share.ChunksDecoded))
-	atomic.AddInt64(&parent.Share.SharedHits, atomic.LoadInt64(&priv.Share.SharedHits))
 	atomic.AddInt64(&parent.Share.CacheHits, atomic.LoadInt64(&priv.Share.CacheHits))
-	atomic.AddInt64(&parent.Share.StreamHits, atomic.LoadInt64(&priv.Share.StreamHits))
 	parent.addProcessed(atomic.LoadInt64(&priv.RowsProcessed))
 	parent.addHashRows(atomic.LoadInt64(&priv.HashRows))
 	parent.addSpoolWritten(atomic.LoadInt64(&priv.SpoolBytesWritten))

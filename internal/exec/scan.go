@@ -105,7 +105,7 @@ func (ex *executor) newFilterIter(in BatchIterator, cond expr.Expr, layout map[e
 }
 
 // scanSource resolves a scan leaf's partitions and assembles what decoding
-// them needs: the scan-share session when sharing is on, and the leaf's
+// them needs: the scan-share cache when sharing is on, and the leaf's
 // freshly registered skip controller. Shared by the pull scan builder and
 // the push-pipeline compiler so both charge the same BytesScanned and decode
 // accounting.
@@ -114,10 +114,7 @@ func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storag
 	if err != nil {
 		return nil, nil, err
 	}
-	src := &morselSource{cols: s.ColNames, batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool}
-	if ex.share != nil {
-		src.share = ex.share.Open(s.Table.Name, parts, s.ColNames, &ex.metrics.Share)
-	}
+	src := &morselSource{cols: s.ColNames, batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool, share: ex.share}
 	if !ex.opts.NoSkip {
 		// Register a skip controller for this leaf; the filter, chain
 		// compiler, or a hash join above will configure it with predicates.
@@ -125,19 +122,6 @@ func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storag
 		ex.registerScanCtrl(s, src.ctrl)
 	}
 	return parts, src, nil
-}
-
-// closeChain registers a scan leaf's or fused chain's shutdown: stop (nil
-// for the serial forms, which own no goroutines) halts the workers and
-// waits for them to drain, and only then does the scan-share session close
-// — closers run in append order.
-func (ex *executor) closeChain(stop func(), share *scanshare.Scan) {
-	if stop != nil {
-		ex.closers = append(ex.closers, stop)
-	}
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
 }
 
 func (ex *executor) buildScan(s *logical.Scan, prune storage.Pruner) (BatchIterator, error) {
@@ -149,21 +133,20 @@ func (ex *executor) buildScan(s *logical.Scan, prune storage.Pruner) (BatchItera
 		morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
 		if len(morsels) > 1 {
 			it := newParallelScan(src, morsels, ex.opts.Parallelism)
-			ex.closeChain(it.run.close, src.share)
+			ex.onClose(it.run.close)
 			return it, nil
 		}
 	}
-	ex.closeChain(nil, src.share)
 	return &scanIter{src: src, parts: parts}, nil
 }
 
 // decodePartition is the single decode entry point for both scan leaves:
-// through the scan-share session when sharing is on, directly otherwise.
+// through the scan-share cache when sharing is on, directly otherwise.
 // Physical decode accounting (Metrics.Share) is charged either way, so
 // shared-vs-unshared BytesDecoded comparisons are meaningful.
-func decodePartition(p *storage.Partition, cols []string, share *scanshare.Scan, stop <-chan struct{}, m *Metrics) ([][]types.Value, error) {
+func decodePartition(p *storage.Partition, cols []string, share *scanshare.Manager, m *Metrics) ([][]types.Value, error) {
 	if share != nil {
-		return share.Decode(p, stop)
+		return share.Decode(p, cols, &m.Share)
 	}
 	decoded, err := p.DecodeColumns(cols)
 	if err != nil {
@@ -204,7 +187,7 @@ func (it *scanIter) NextBatch() (*vec.Batch, error) {
 				it.part++
 				continue
 			}
-			d, err := decodePartition(p, src.cols, src.share, nil, src.m)
+			d, err := decodePartition(p, src.cols, src.share, src.m)
 			if err != nil {
 				return nil, err
 			}

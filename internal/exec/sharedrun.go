@@ -17,7 +17,7 @@ import (
 // mask family — the same shared-prefix factoring kernel the fused
 // aggregation masks use — so N subscribers cost one pass, not N.
 
-// SharedSub is one client's subscription to a fused plan's output.
+// SharedSub is one subscriber of a fused plan's output: one client's rows.
 type SharedSub struct {
 	// Comp is the compensating predicate over the fused root schema
 	// selecting this client's rows; nil means every row qualifies.

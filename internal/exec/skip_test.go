@@ -419,6 +419,47 @@ func TestSkipWithScanShare(t *testing.T) {
 	}
 }
 
+// TestShareScansChunkAccounting: on a ShareScans run every chunk request is
+// either a cache hit or a decode (the identity the benchmark's
+// scanshare.shared_hit_frac divides by), the retired attach counters stay
+// zero, and a repeat of the same query decodes nothing — for the scan leaf
+// and for a fused chain, serial and morsel-parallel.
+func TestShareScansChunkAccounting(t *testing.T) {
+	plans := map[string]func(*storage.Store) logical.Operator{
+		"scan": func(st *storage.Store) logical.Operator { return scanOf(t, st, "fact") },
+		"chain": func(st *storage.Store) logical.Operator {
+			s := scanOf(t, st, "fact")
+			return logical.NewFilter(s, expr.NewBinary(expr.OpGe, expr.Ref(s.ColumnFor("f_v")), expr.Lit(types.Int(300))))
+		},
+	}
+	for name, plan := range plans {
+		for _, par := range []int{1, 2} {
+			// A fresh store per case: its share cache starts cold. NoSkip
+			// keeps every partition in play, and BatchSize 8 cuts the 4×25
+			// rows into several morsels.
+			st := skipFixture(t, nil)
+			opts := Options{Parallelism: par, BatchSize: 8, ShareScans: true, NoSkip: true}
+			reqs := int64(4 * len(scanOf(t, st, "fact").ColNames))
+			for run, wantDecoded := range []int64{reqs, 0} {
+				res, err := RunWith(plan(st), st, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sh := res.Metrics.Share
+				if sh.SharedHits != 0 || sh.StreamHits != 0 {
+					t.Fatalf("%s/par=%d run %d: SharedHits=%d StreamHits=%d, want 0", name, par, run, sh.SharedHits, sh.StreamHits)
+				}
+				if sh.CacheHits+sh.ChunksDecoded != reqs {
+					t.Fatalf("%s/par=%d run %d: CacheHits %d + ChunksDecoded %d != %d chunk requests", name, par, run, sh.CacheHits, sh.ChunksDecoded, reqs)
+				}
+				if sh.ChunksDecoded != wantDecoded {
+					t.Fatalf("%s/par=%d run %d: ChunksDecoded = %d, want %d", name, par, run, sh.ChunksDecoded, wantDecoded)
+				}
+			}
+		}
+	}
+}
+
 // TestSharedPrefixSkip exercises the fused-run path: the mask family's
 // shared prefix (f_v >= 300) prunes partitions on behalf of the whole
 // batch, and every subscriber's rows and the fused logical metrics stay

@@ -324,8 +324,20 @@ func (t *Tracker) Reserve(op string, n int64) error {
 	return nil
 }
 
-// Release returns n bytes reserved by op to the pool.
+// Release returns n bytes reserved by op to the pool. The tracker is
+// debited first and only what it still held goes back: a spill can run
+// after its owner's Close already returned every byte (the pool calls
+// Spill without its lock), and returning those bytes twice would drive the
+// pool's usage negative and let later reservations exceed the limit.
 func (t *Tracker) Release(op string, n int64) {
+	if n <= 0 {
+		return
+	}
+	t.mu.Lock()
+	n = min(n, t.used)
+	t.used -= n
+	t.op(op).used -= n
+	t.mu.Unlock()
 	if n <= 0 {
 		return
 	}
@@ -337,10 +349,6 @@ func (t *Tracker) Release(op string, n int64) {
 	}
 	p.notifyReleaseLocked()
 	p.mu.Unlock()
-	t.mu.Lock()
-	t.used -= n
-	t.op(op).used -= n
-	t.mu.Unlock()
 }
 
 // AddSpill records bytes and files written to disk by op.

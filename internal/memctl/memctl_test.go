@@ -180,6 +180,38 @@ func TestUnlimitedPoolNeverSpills(t *testing.T) {
 	}
 }
 
+// closingSpillable is a victim whose owner closes its tracker in the gap
+// between the pool picking it and its Spill releasing: Close has already
+// returned the bytes, so the Release that follows must not return them again.
+type closingSpillable struct{ fakeSpillable }
+
+func (c *closingSpillable) Spill() (int64, error) {
+	c.tracker.Close()
+	return c.fakeSpillable.Spill()
+}
+
+func TestReleaseAfterCloseNotDoubleCounted(t *testing.T) {
+	p := NewPool(8192, "")
+	owner := p.NewTracker("q1")
+	victim := &closingSpillable{fakeSpillable{label: "agg", tracker: owner}}
+	owner.Register(victim)
+	if err := owner.Reserve("agg", 8192); err != nil {
+		t.Fatal(err)
+	}
+	atomic.StoreInt64(&victim.bytes, 8192)
+	other := p.NewTracker("q2")
+	if err := other.Reserve("sort", 4096); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Used(); got != 4096 {
+		t.Fatalf("pool used = %d, want 4096 (only q2's reservation)", got)
+	}
+	other.Close()
+	if got := p.Used(); got != 0 {
+		t.Fatalf("pool used = %d, want 0", got)
+	}
+}
+
 // TestConcurrentReserveRelease exercises the pool under the race detector.
 func TestConcurrentReserveRelease(t *testing.T) {
 	p := NewPool(1<<20, "")

@@ -55,13 +55,14 @@ func (c *chunkCache) get(key chunkKey) ([]types.Value, bool) {
 	return el.Value.(*cacheEntry).vals, true
 }
 
-// put inserts a decoded chunk, evicting least-recently-used entries until
-// the bound holds. Chunks larger than the whole cache are not admitted.
+// put inserts a decoded chunk unless its key is already resident, evicting
+// least-recently-used entries until the bound holds. Chunks larger than the
+// whole cache are not admitted.
 // Eviction only drops the cache's reference: queries already holding the
 // vector keep it alive, so eviction is always safe mid-use.
 func (c *chunkCache) put(key chunkKey, vals []types.Value, kind types.Kind) {
 	if _, ok := c.entries[key]; ok {
-		return // another leader raced us in; keep the resident entry
+		return // a concurrent miss decoded it too; the first insert wins
 	}
 	size := decodedSize(vals, kind)
 	if size > c.capacity {

@@ -1,37 +1,28 @@
-// Package scanshare implements cross-query scan sharing: concurrent queries
-// over the same store partitions share the physical work of decoding column
-// chunks instead of each paying it independently (the multi-query reuse
-// direction the fusion paper names in §I).
+// Package scanshare implements cross-query scan sharing: queries over the
+// same store partitions share the physical work of decoding column chunks
+// instead of each paying it independently (the multi-query reuse direction
+// the fusion paper names in §I).
 //
-// Three mechanisms compose, cheapest first:
+// The mechanism is one bounded, size-accounted LRU cache of decoded column
+// chunks, keyed by (partition, column). Partitions are immutable after Load
+// — reloading a table allocates fresh Partition values — so cache entries can
+// never go stale; they simply stop being referenced and age out. A miss is
+// decoded outside the cache lock and then inserted; when two queries miss the
+// same cold chunk at once both decode it, and the first insert wins.
 //
-//  1. A bounded, size-accounted LRU cache of decoded column chunks, keyed by
-//     (partition, column). Partitions are immutable after Load — reloading a
-//     table allocates fresh Partition values — so cache entries can never go
-//     stale; they simply stop being referenced and age out.
-//  2. In-flight decode attach: when one query is currently decoding a chunk,
-//     a late-arriving query attaches to that flight and waits for the
-//     decoded vector instead of re-decoding. Flights exist only while a
-//     leader is actively decoding, so every wait is bounded by one chunk
-//     decode; a waiter whose own query is abandoned (LIMIT, error) detaches
-//     via its stop channel.
-//  3. Morsel-stream attach: each scan registers its (table, partition-set,
-//     column-set) stream; a compatible late arrival subscribes and receives
-//     decoded partition chunks through a bounded per-subscriber queue as the
-//     publisher produces them, pinning them for that subscriber even when
-//     the global cache is too small to retain them. Queues never block the
-//     publisher — a full queue drops the chunk and the subscriber falls back
-//     to the cache, a flight, or its own decode.
+// Concurrent queries over the same table are folded into one scan by
+// cross-query fusion (internal/xfuse) before they reach this layer, which is
+// why there is no attach to another query's in-flight scan or decode: on the
+// benchmark's workloads such attaches served at most 2.6 % of chunk
+// requests, and without them the cache serves nearly all of those.
 //
-// Because subscribers receive the same immutable decoded vectors the
-// publisher produced (never partially decoded state), a shared scan is
-// value-identical to an unshared one; each query still windows the vectors
-// into its own batches in its own partition order, so ordered delivery and
-// LIMIT early-exit semantics are untouched.
+// Every query receives immutable decoded vectors (never partially decoded
+// state), so a shared scan is value-identical to an unshared one; each query
+// still windows the vectors into its own batches in its own partition order,
+// so ordered delivery and LIMIT early-exit semantics are untouched.
 package scanshare
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -44,11 +35,6 @@ import (
 // not set one (estimated in-memory bytes, not encoded bytes).
 const DefaultCacheBytes = 64 << 20
 
-// ErrStopped is returned by Decode when the scan's stop channel fires while
-// waiting on another query's in-flight decode; the caller is being abandoned
-// and its result will be discarded.
-var ErrStopped = errors.New("scanshare: scan stopped while waiting for shared decode")
-
 // Counters accumulates one query's scan-share activity. Fields are updated
 // atomically; read them only after the query's workers have drained.
 type Counters struct {
@@ -58,13 +44,15 @@ type Counters struct {
 	BytesDecoded int64
 	// ChunksDecoded counts those chunks.
 	ChunksDecoded int64
-	// SharedHits counts chunks obtained by attaching to another query's
-	// in-flight decode.
+	// SharedHits is always zero: it counted chunks obtained by attaching to
+	// another query's in-flight decode, which no longer exists. Kept because
+	// the benchmark's report reads it.
 	SharedHits int64
 	// CacheHits counts chunks served from the decoded-chunk cache.
 	CacheHits int64
-	// StreamHits counts chunks received from a subscribed morsel stream's
-	// queue.
+	// StreamHits is always zero: it counted chunks received from another
+	// query's morsel stream, which no longer exists. Kept because the
+	// benchmark's report reads it.
 	StreamHits int64
 }
 
@@ -73,10 +61,6 @@ func (c *Counters) AddDecoded(bytes int64) {
 	atomic.AddInt64(&c.BytesDecoded, bytes)
 	atomic.AddInt64(&c.ChunksDecoded, 1)
 }
-
-func (c *Counters) addShared() { atomic.AddInt64(&c.SharedHits, 1) }
-func (c *Counters) addCache()  { atomic.AddInt64(&c.CacheHits, 1) }
-func (c *Counters) addStream() { atomic.AddInt64(&c.StreamHits, 1) }
 
 // chunkKey identifies one decoded column chunk. Partition pointers are
 // unique per Load and per Append (the store only ever creates fresh
@@ -89,25 +73,11 @@ type chunkKey struct {
 	col  string
 }
 
-// flight is one in-progress chunk decode. The leader fills vals/err and
-// closes done; attached waiters block on done (or their stop channel).
-type flight struct {
-	done chan struct{}
-	vals []types.Value
-	err  error
-}
-
-// Manager is the process-wide (per store) scan-share state: the decoded
-// chunk cache, the in-flight decode table and the stream registry. All
-// methods are safe for concurrent use by many queries.
+// Manager is the process-wide (per store) decoded-chunk cache. All methods
+// are safe for concurrent use by many queries.
 type Manager struct {
-	mu      sync.Mutex
-	cache   *chunkCache
-	flights map[chunkKey]*flight
-	streams map[string][]*stream
-	// flightsDone is broadcast whenever an in-flight decode resolves;
-	// Quiesce waits on it.
-	flightsDone sync.Cond
+	mu    sync.Mutex
+	cache *chunkCache
 }
 
 // NewManager creates a manager whose decoded-chunk cache is bounded at
@@ -116,27 +86,7 @@ func NewManager(cacheBytes int64) *Manager {
 	if cacheBytes <= 0 {
 		cacheBytes = DefaultCacheBytes
 	}
-	m := &Manager{
-		cache:   newChunkCache(cacheBytes),
-		flights: make(map[chunkKey]*flight),
-		streams: make(map[string][]*stream),
-	}
-	m.flightsDone.L = &m.mu
-	return m
-}
-
-// Quiesce blocks until no chunk decode is in flight. Leaders resolve
-// flights with pure CPU work, so the wait is bounded by the slowest
-// in-progress decode — an engine shutting down calls it after draining its
-// own queries to guarantee no decode it led is still publishing. It does
-// NOT wait for other engines' open scans (streams), which can outlive this
-// engine legitimately when several engines share one store.
-func (m *Manager) Quiesce() {
-	m.mu.Lock()
-	for len(m.flights) > 0 {
-		m.flightsDone.Wait()
-	}
-	m.mu.Unlock()
+	return &Manager{cache: newChunkCache(cacheBytes)}
 }
 
 // For resolves the store's shared manager, creating it with cacheBytes on
@@ -159,158 +109,32 @@ func (m *Manager) CacheChunks() int {
 	return m.cache.order.Len()
 }
 
-// Open registers a scan of the given partitions and columns. If a
-// compatible stream is already in flight — same table and partition set,
-// column set covering cols — the scan additionally attaches to it as a
-// subscriber. The returned Scan is used by exactly one query run (its
-// Decode may be called from that run's workers concurrently) and must be
-// Closed after those workers have drained.
-func (m *Manager) Open(table string, parts []*storage.Partition, cols []string, ctr *Counters) *Scan {
-	s := &Scan{mgr: m, cols: append([]string(nil), cols...), ctr: ctr}
-	if len(parts) == 0 {
-		// Zero-partition scans have nothing to publish or receive.
-		return s
-	}
-	key := streamKeyFor(table, parts)
-	m.mu.Lock()
-	for _, st := range m.streams[key] {
-		if st.covers(cols) {
-			s.sub = newSubscription()
-			s.subStream = st
-			st.attach(s.sub)
-			break
-		}
-	}
-	s.pub = newStream(key, cols)
-	m.streams[key] = append(m.streams[key], s.pub)
-	m.mu.Unlock()
-	return s
-}
-
-// getChunk returns the decoded vector for one chunk: cache hit, in-flight
-// attach, or leader decode (which publishes to the cache). stop may be nil.
-func (m *Manager) getChunk(key chunkKey, chunk *storage.ColumnChunk, stop <-chan struct{}, ctr *Counters) ([]types.Value, error) {
-	m.mu.Lock()
-	if vals, ok := m.cache.get(key); ok {
-		m.mu.Unlock()
-		ctr.addCache()
-		return vals, nil
-	}
-	if f, ok := m.flights[key]; ok {
-		m.mu.Unlock()
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return nil, f.err
-			}
-			ctr.addShared()
-			return f.vals, nil
-		case <-stop: // nil stop never fires; the wait is then bounded by the leader's decode
-			return nil, ErrStopped
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	m.flights[key] = f
-	m.mu.Unlock()
-
-	// Leader path: pure CPU, never blocks, so the flight always resolves.
-	f.vals = chunk.DecodeAll(make([]types.Value, 0, chunk.Count))
-	m.mu.Lock()
-	delete(m.flights, key)
-	m.cache.put(key, f.vals, chunk.Kind)
-	m.flightsDone.Broadcast()
-	m.mu.Unlock()
-	close(f.done)
-	ctr.AddDecoded(chunk.Bytes)
-	return f.vals, nil
-}
-
-// Scan is one query run's handle on the share manager: a publisher of its
-// own morsel stream and, when it arrived while a compatible scan was in
-// flight, a subscriber of that scan's stream.
-type Scan struct {
-	mgr       *Manager
-	cols      []string
-	ctr       *Counters
-	pub       *stream
-	sub       *subscription
-	subStream *stream
-	closed    bool
-}
-
-// Decode returns the decoded column vectors for p in the scan's column
-// order, sharing work with concurrent queries wherever possible. stop, when
-// non-nil, abandons waits on other queries' in-flight decodes (returning
-// ErrStopped) once the caller's query has gone away. Safe for concurrent use
-// by one query's scan workers.
-func (s *Scan) Decode(p *storage.Partition, stop <-chan struct{}) ([][]types.Value, error) {
-	out := make([][]types.Value, len(s.cols))
-	var pubCols map[string][]types.Value
-	if s.pub != nil {
-		pubCols = make(map[string][]types.Value, len(s.cols))
-	}
-	for i, col := range s.cols {
-		key := chunkKey{part: p, col: col}
-		if s.sub != nil {
-			if vals, ok := s.sub.take(key); ok {
-				s.ctr.addStream()
-				out[i] = vals
-				if pubCols != nil {
-					pubCols[col] = vals
-				}
-				continue
-			}
-		}
+// Decode returns the decoded column vectors for p in cols order, served
+// from the cache where resident and decoded (then cached) otherwise, and
+// charges ctr with which of the two each chunk was.
+func (m *Manager) Decode(p *storage.Partition, cols []string, ctr *Counters) ([][]types.Value, error) {
+	out := make([][]types.Value, len(cols))
+	for i, col := range cols {
 		chunk := p.Chunk(col)
 		if chunk == nil {
 			return nil, fmt.Errorf("scanshare: partition has no column %q", col)
 		}
-		vals, err := s.mgr.getChunk(key, chunk, stop, s.ctr)
-		if err != nil {
-			return nil, err
+		key := chunkKey{part: p, col: col}
+		m.mu.Lock()
+		vals, ok := m.cache.get(key)
+		m.mu.Unlock()
+		if ok {
+			atomic.AddInt64(&ctr.CacheHits, 1)
+		} else {
+			// Pure CPU outside the lock, so concurrent misses on other chunks
+			// decode in parallel.
+			vals = chunk.DecodeAll(make([]types.Value, 0, chunk.Count))
+			m.mu.Lock()
+			m.cache.put(key, vals, chunk.Kind)
+			m.mu.Unlock()
+			ctr.AddDecoded(chunk.Bytes)
 		}
 		out[i] = vals
-		if pubCols != nil {
-			pubCols[col] = vals
-		}
-	}
-	if s.pub != nil {
-		// Publish everything this scan obtained (decoded or not): late
-		// subscribers may have missed the original publication, and the
-		// cache may already have evicted it.
-		s.pub.publish(partChunk{part: p, cols: pubCols})
 	}
 	return out, nil
-}
-
-// Close detaches the scan: its stream stops accepting subscribers and is
-// removed from the registry, and its own subscription (if any) is dropped.
-// Call after the query's scan workers have drained; an abandoned scan
-// (LIMIT early exit) closes the stream with partitions unpublished, and
-// subscribers simply fall back to the cache or their own decodes.
-func (s *Scan) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.pub != nil {
-		m := s.mgr
-		m.mu.Lock()
-		s.pub.finish()
-		live := m.streams[s.pub.key][:0]
-		for _, st := range m.streams[s.pub.key] {
-			if st != s.pub {
-				live = append(live, st)
-			}
-		}
-		if len(live) == 0 {
-			delete(m.streams, s.pub.key)
-		} else {
-			m.streams[s.pub.key] = live
-		}
-		m.mu.Unlock()
-	}
-	if s.sub != nil {
-		s.subStream.detach(s.sub)
-	}
 }

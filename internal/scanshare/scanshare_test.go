@@ -54,10 +54,10 @@ func wantDecoded(t *testing.T, p *storage.Partition, cols []string) [][]types.Va
 	return d
 }
 
-func decodeAll(t *testing.T, s *Scan, parts []*storage.Partition, cols []string) {
+func decodeAll(t *testing.T, m *Manager, ctr *Counters, parts []*storage.Partition, cols []string) {
 	t.Helper()
 	for _, p := range parts {
-		got, err := s.Decode(p, nil)
+		got, err := m.Decode(p, cols, ctr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,90 +77,20 @@ func chunkBytes(parts []*storage.Partition, cols []string) int64 {
 	return total
 }
 
-// TestAttachMidFlight: a scan that opens while another is mid-stream gets
-// already-published partitions from the cache and subsequent ones from the
-// stream queue, decoding nothing itself.
-func TestAttachMidFlight(t *testing.T) {
-	parts := newTestParts(t, 4, 20)
-	mgr := NewManager(0)
-	var ca, cb Counters
-
-	a := mgr.Open("t", parts, testCols, &ca)
-	decodeAll(t, a, parts[:2], testCols) // A is mid-flight: 2 of 4 partitions done
-
-	b := mgr.Open("t", parts, testCols, &cb)
-	if b.sub == nil {
-		t.Fatal("B did not attach to A's in-flight stream")
-	}
-	// B replays partitions already published by A: cache hits.
-	decodeAll(t, b, parts[:2], testCols)
-	if cb.CacheHits != 4 {
-		t.Fatalf("CacheHits = %d, want 4 (2 partitions x 2 columns)", cb.CacheHits)
-	}
-	// A decodes the rest, publishing to B's queue; B consumes via the stream.
-	decodeAll(t, a, parts[2:], testCols)
-	decodeAll(t, b, parts[2:], testCols)
-	if cb.StreamHits != 4 {
-		t.Fatalf("StreamHits = %d, want 4 (2 partitions x 2 columns)", cb.StreamHits)
-	}
-	if cb.BytesDecoded != 0 || cb.ChunksDecoded != 0 {
-		t.Fatalf("attached scan decoded %d chunks (%d bytes) itself, want 0", cb.ChunksDecoded, cb.BytesDecoded)
-	}
-	if want := chunkBytes(parts, testCols); ca.BytesDecoded != want {
-		t.Fatalf("publisher BytesDecoded = %d, want %d", ca.BytesDecoded, want)
-	}
-	a.Close()
-	b.Close()
-}
-
-// TestAttachAfterCompleted: a scan arriving after the stream finished finds
-// no stream to attach to but is served entirely from the chunk cache.
+// TestAttachAfterCompleted: a scan arriving after another finished is
+// served entirely from the chunk cache.
 func TestAttachAfterCompleted(t *testing.T) {
 	parts := newTestParts(t, 3, 15)
 	mgr := NewManager(0)
 	var ca, cb Counters
 
-	a := mgr.Open("t", parts, testCols, &ca)
-	decodeAll(t, a, parts, testCols)
-	a.Close()
-
-	b := mgr.Open("t", parts, testCols, &cb)
-	if b.sub != nil {
-		t.Fatal("B attached to a finished stream")
-	}
-	decodeAll(t, b, parts, testCols)
-	b.Close()
+	decodeAll(t, mgr, &ca, parts, testCols)
+	decodeAll(t, mgr, &cb, parts, testCols)
 	if cb.BytesDecoded != 0 {
 		t.Fatalf("late scan decoded %d bytes, want 0 (cache path)", cb.BytesDecoded)
 	}
 	if want := int64(len(parts) * len(testCols)); cb.CacheHits != want {
 		t.Fatalf("CacheHits = %d, want %d", cb.CacheHits, want)
-	}
-}
-
-// TestSubscriberAbandonment: a subscriber that goes away early (LIMIT) must
-// not stall the publisher, and later scans still share normally.
-func TestSubscriberAbandonment(t *testing.T) {
-	parts := newTestParts(t, 5, 10)
-	mgr := NewManager(0)
-	var ca, cb, cc Counters
-
-	a := mgr.Open("t", parts, testCols, &ca)
-	decodeAll(t, a, parts[:1], testCols)
-	b := mgr.Open("t", parts, testCols, &cb)
-	decodeAll(t, b, parts[:1], testCols)
-	b.Close() // B hit its LIMIT and detached mid-stream
-
-	// A keeps going: publishing to zero subscribers must be a no-op, and
-	// well past B's queue bound.
-	decodeAll(t, a, parts[1:], testCols)
-	a.Close()
-
-	c := mgr.Open("t", parts, testCols, &cc)
-	decodeAll(t, c, parts, testCols)
-	c.Close()
-	if cc.BytesDecoded != 0 {
-		t.Fatalf("post-abandonment scan decoded %d bytes, want 0", cc.BytesDecoded)
 	}
 }
 
@@ -174,8 +104,7 @@ func TestCacheEviction(t *testing.T) {
 	mgr := NewManager(capacity)
 	var c Counters
 
-	s := mgr.Open("t", parts, intCols, &c)
-	decodeAll(t, s, parts, intCols)
+	decodeAll(t, mgr, &c, parts, intCols)
 	if mgr.CacheBytes() > capacity {
 		t.Fatalf("cache holds %d bytes, bound is %d", mgr.CacheBytes(), capacity)
 	}
@@ -184,68 +113,39 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// parts[0] was evicted long ago: decoding it again is physical work.
 	before := c.ChunksDecoded
-	decodeAll(t, s, parts[:1], intCols)
+	decodeAll(t, mgr, &c, parts[:1], intCols)
 	if c.ChunksDecoded != before+1 {
 		t.Fatalf("evicted chunk not re-decoded: ChunksDecoded %d -> %d", before, c.ChunksDecoded)
 	}
-	s.Close()
 
 	// A chunk larger than the whole cache is never admitted.
 	tiny := NewManager(1)
 	var ct Counters
-	st := tiny.Open("t", parts, intCols, &ct)
-	decodeAll(t, st, parts[:1], intCols)
-	st.Close()
+	decodeAll(t, tiny, &ct, parts[:1], intCols)
 	if tiny.CacheChunks() != 0 || tiny.CacheBytes() != 0 {
 		t.Fatalf("oversized chunk admitted: %d chunks, %d bytes", tiny.CacheChunks(), tiny.CacheBytes())
 	}
 }
 
-// TestZeroPartitions: empty scans register nothing and close cleanly.
-func TestZeroPartitions(t *testing.T) {
-	mgr := NewManager(0)
-	var c1, c2 Counters
-	a := mgr.Open("empty", nil, testCols, &c1)
-	if a.pub != nil || a.sub != nil {
-		t.Fatal("zero-partition scan registered a stream")
-	}
-	b := mgr.Open("empty", nil, testCols, &c2)
-	a.Close()
-	a.Close() // double close is a no-op
-	b.Close()
-	if len(mgr.streams) != 0 {
-		t.Fatalf("stream registry not empty: %d entries", len(mgr.streams))
-	}
-}
-
-// TestColumnSubsetAttach: a scan needing a subset of an in-flight stream's
-// columns attaches; one needing more does not (but still shares chunks).
+// TestColumnSubsetAttach: a scan needing a subset of an earlier scan's
+// columns decodes nothing; one needing more decodes only the extra column.
 func TestColumnSubsetAttach(t *testing.T) {
 	parts := newTestParts(t, 3, 10)
 	mgr := NewManager(0)
 	var ca, cb, cc Counters
 
-	a := mgr.Open("t", parts, []string{"a", "b"}, &ca)
-	sub := mgr.Open("t", parts, []string{"b"}, &cb)
-	if sub.sub == nil {
-		t.Fatal("column-subset scan did not attach")
+	decodeAll(t, mgr, &ca, parts, []string{"a", "b"})
+	decodeAll(t, mgr, &cb, parts, []string{"b"})
+	if cb.ChunksDecoded != 0 {
+		t.Fatalf("column-subset scan decoded %d chunks, want 0", cb.ChunksDecoded)
 	}
-	wide := mgr.Open("t", parts, []string{"a", "b", "p"}, &cc)
-	if wide.sub != nil {
-		t.Fatal("superset scan attached to a narrower stream")
-	}
-	// The wide scan still shares the overlapping chunks once A decoded them.
-	decodeAll(t, a, parts, []string{"a", "b"})
-	decodeAll(t, wide, parts, []string{"a", "b", "p"})
+	decodeAll(t, mgr, &cc, parts, []string{"a", "b", "p"})
 	if cc.CacheHits != int64(len(parts)*2) {
 		t.Fatalf("wide scan CacheHits = %d, want %d", cc.CacheHits, len(parts)*2)
 	}
 	if want := chunkBytes(parts, []string{"p"}); cc.BytesDecoded != want {
 		t.Fatalf("wide scan BytesDecoded = %d, want %d (only the extra column)", cc.BytesDecoded, want)
 	}
-	a.Close()
-	sub.Close()
-	wide.Close()
 }
 
 // TestMissingColumn: the error path mirrors storage.DecodeColumns.
@@ -253,32 +153,21 @@ func TestMissingColumn(t *testing.T) {
 	parts := newTestParts(t, 1, 5)
 	mgr := NewManager(0)
 	var c Counters
-	s := mgr.Open("t", parts, []string{"nope"}, &c)
-	if _, err := s.Decode(parts[0], nil); err == nil {
+	if _, err := mgr.Decode(parts[0], []string{"nope"}, &c); err == nil {
 		t.Fatal("expected error for unknown column")
 	}
-	s.Close()
 }
 
-// TestStopBeforeFlightWait: a pre-closed stop channel only matters while
-// waiting on someone else's flight; a plain decode still succeeds.
-func TestStopBeforeFlightWait(t *testing.T) {
-	parts := newTestParts(t, 1, 5)
-	mgr := NewManager(0)
-	var c Counters
-	s := mgr.Open("t", parts, testCols, &c)
-	stop := make(chan struct{})
-	close(stop)
-	if _, err := s.Decode(parts[0], stop); err != nil {
-		t.Fatalf("decode with closed stop failed: %v", err)
-	}
-	s.Close()
-}
-
-// TestConcurrentIdenticalScans: N concurrent sessions over the same
-// partitions decode each chunk exactly once between them (run under -race).
+// TestConcurrentIdenticalScans: N concurrent scans over the same partitions
+// each get the direct-decode values, every chunk request is served exactly
+// once, and each chunk is decoded at least once and at most once per scan
+// (two scans missing the same cold chunk both decode it). Run under -race.
 func TestConcurrentIdenticalScans(t *testing.T) {
 	parts := newTestParts(t, 8, 50)
+	want := make([][][]types.Value, len(parts))
+	for i, p := range parts {
+		want[i] = wantDecoded(t, p, testCols)
+	}
 	mgr := NewManager(0)
 	const n = 8
 	ctrs := make([]Counters, n)
@@ -288,14 +177,17 @@ func TestConcurrentIdenticalScans(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := mgr.Open("t", parts, testCols, &ctrs[i])
-			for _, p := range parts {
-				if _, err := s.Decode(p, nil); err != nil {
+			for pi, p := range parts {
+				got, err := mgr.Decode(p, testCols, &ctrs[i])
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				if !reflect.DeepEqual(got, want[pi]) {
+					t.Errorf("scan %d: shared decode differs from direct decode for partition %v", i, p.Key)
+					return
+				}
 			}
-			s.Close()
 		}()
 	}
 	wg.Wait()
@@ -303,12 +195,17 @@ func TestConcurrentIdenticalScans(t *testing.T) {
 	var decoded, served int64
 	for i := range ctrs {
 		decoded += ctrs[i].ChunksDecoded
-		served += ctrs[i].ChunksDecoded + ctrs[i].SharedHits + ctrs[i].CacheHits + ctrs[i].StreamHits
+		served += ctrs[i].ChunksDecoded + ctrs[i].CacheHits
 	}
-	if decoded != chunks {
-		t.Fatalf("chunks decoded across sessions = %d, want exactly %d", decoded, chunks)
+	if decoded < chunks || decoded > n*chunks {
+		t.Fatalf("chunks decoded across scans = %d, want between %d and %d", decoded, chunks, n*chunks)
 	}
 	if served != n*chunks {
 		t.Fatalf("chunks served = %d, want %d", served, n*chunks)
+	}
+	var after Counters
+	decodeAll(t, mgr, &after, parts, testCols)
+	if after.ChunksDecoded != 0 {
+		t.Fatalf("scan after the concurrent ones decoded %d chunks, want 0", after.ChunksDecoded)
 	}
 }
