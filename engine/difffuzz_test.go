@@ -397,7 +397,7 @@ func TestDifferentialMatrixTPCDS(t *testing.T) {
 // generator seed, searching for a query shape where a candidate diverges
 // from its reference.
 func fuzzDiffRow(f *testing.F, row diffRow) {
-	for _, seed := range []int64{0, 1, 17, 42, 20220513, -9} {
+	for _, seed := range []int64{0, 1, 17, 42, 20220513, -9, -311} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {

@@ -51,6 +51,45 @@ func TestMemoryExceededError(t *testing.T) {
 	}
 }
 
+// TestKeyedGroupBySpillsNewGroups pins a keyed GroupBy whose batch creates
+// more new groups than the whole budget holds. Testgen seed -311 at
+// Parallelism 1 and BatchSize 1024 asks for 281,728 bytes of new groups in
+// one reservation, before any group is resident. No victim can free them,
+// so the accumulator must put their partitions on disk instead of failing
+// the query with ErrMemoryExceeded.
+func TestKeyedGroupBySpillsNewGroups(t *testing.T) {
+	st := diffTestStore(t)
+	q := testgen.New(-311).Query()
+	ref, err := OpenWithStore(st, Config{Parallelism: 1, BatchSize: 1024}).Query(q)
+	if err != nil {
+		t.Fatalf("unlimited reference: %v\n%s", err, q)
+	}
+	want := exactRows(ref.Rows)
+	for _, limit := range []int64{8 << 10, 16 << 10, 32 << 10} {
+		dir := t.TempDir()
+		res, err := OpenWithStore(st, Config{
+			Parallelism: 1, BatchSize: 1024, MemoryLimitBytes: limit, SpillDir: dir,
+		}).Query(q)
+		if err != nil {
+			t.Fatalf("limit %d: %v\n%s", limit, err, q)
+		}
+		if exactRows(res.Rows) != want {
+			t.Fatalf("limit %d: rows differ from the unlimited reference\n%s", limit, q)
+		}
+		if res.Metrics.MemOperators["groupby"].SpilledBytes == 0 {
+			t.Fatalf("limit %d: the GroupBy did not spill", limit)
+		}
+		if res.Metrics.PeakMemoryBytes > limit {
+			t.Fatalf("limit %d: peak tracked memory %d exceeds it", limit, res.Metrics.PeakMemoryBytes)
+		}
+		if ents, err := os.ReadDir(dir); err != nil {
+			t.Fatal(err)
+		} else if len(ents) != 0 {
+			t.Fatalf("limit %d: %d spill files leaked", limit, len(ents))
+		}
+	}
+}
+
 // TestSpillDirCleanupOnAbandonment checks that a query abandoned
 // mid-emission (LIMIT over a spilled sort and a spilled aggregation) still
 // removes every spill file.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -442,6 +443,11 @@ func newGroupAccumulator(spec *aggInputSpec, keyIdx []int, tracker *memctl.Track
 // then new groups' bytes are reserved with no lock held — the pool may pick
 // this very accumulator as the spill victim. Groups whose partition spilled
 // during that window are already on disk, so their share is refunded.
+//
+// One batch's new groups can need more than the whole budget, and they are
+// not yet resident, so no victim can free them. A keyed accumulator then
+// puts them on disk instead: every unspilled partition holding one is
+// dumped, and the groups need no reservation at all.
 func (ga *groupAccumulator) consumeBatch(b *vec.Batch, base int64, log []int) error {
 	ga.mu.Lock()
 	pending, newBytes, err := ga.consumeLocked(b, base, log)
@@ -453,7 +459,22 @@ func (ga *groupAccumulator) consumeBatch(b *vec.Batch, base int64, log []int) er
 		return nil
 	}
 	if err := ga.tracker.Reserve(opGroupBy, newBytes); err != nil {
-		return err
+		if len(ga.keyIdx) == 0 || !errors.Is(err, memctl.ErrMemoryExceeded) {
+			return err
+		}
+		ga.mu.Lock()
+		defer ga.mu.Unlock()
+		if !ga.spillActive {
+			ga.activateSpill()
+		}
+		for _, g := range pending {
+			if !ga.parts[g.part].spilled {
+				if _, err := ga.dumpPartition(g.part); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
 	var refund int64
 	ga.mu.Lock()

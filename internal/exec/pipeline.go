@@ -21,8 +21,8 @@ import (
 // and projections alias pure column references instead of copying them.
 // Pipeline breakers — aggregation finish, sort, join build, window, spool —
 // keep their pull implementations and consume fused chains through the
-// BatchIterator facade; the scalar-aggregation and sort-run sinks
-// (pipesink.go) additionally accept pushed per-morsel sub-batches directly.
+// BatchIterator facade; the scalar-aggregation sink (pipesink.go) alone
+// accepts pushed per-morsel sub-batches directly.
 //
 // Options.PullExec disables all of it, keeping the original pull path alive
 // as the differential baseline.
@@ -442,7 +442,7 @@ func (it *chainIter) NextBatch() (*vec.Batch, error) {
 // orderedRun schedules morsels across workers and delivers each morsel's
 // result strictly in morsel order — the generalization of the parallel
 // scan's delivery discipline that every push pipeline (fused chains and the
-// blocking sinks) shares. Workers claim morsel indices from an atomic
+// scalar sink) shares. Workers claim morsel indices from an atomic
 // counter; each result travels through a dedicated 1-slot channel so a
 // worker always finishes its claimed morsel even if the consumer has gone
 // away, and a token semaphore bounds produced-but-unconsumed morsels.

@@ -264,7 +264,7 @@ func TestSkipLimitEarlyExit(t *testing.T) {
 	}
 }
 
-func TestSkipScalarAggAndSortSinks(t *testing.T) {
+func TestSkipChainConsumers(t *testing.T) {
 	st := skipFixture(t, []int64{1})
 	s := scanOf(t, st, "fact")
 	filt := logical.NewFilter(s, expr.NewBinary(expr.OpGe, expr.Ref(s.ColumnFor("f_v")), expr.Lit(types.Int(300))))
@@ -279,11 +279,11 @@ func TestSkipScalarAggAndSortSinks(t *testing.T) {
 	srt := &logical.Sort{Input: filt2, Keys: []logical.SortKey{{E: expr.Ref(s2.ColumnFor("f_w")), Desc: true}}}
 	runSkipDiff(t, st, srt, true)
 
-	// The three runChain emit targets — the plain chain (append), the scalar
-	// sink (fold) and the sort sink (append, gather after the slot) — over
-	// the same prunable chain, at a batch size small enough that the fixture
-	// cuts into one morsel per partition, so the parallel forms run instead
-	// of their one-morsel serial fallback. All pruned-partition recharges are
+	// The two runChain emit targets — the plain chain (append) and the
+	// scalar sink (fold) — plus a sort draining the plain chain, over the
+	// same prunable chain, at a batch size small enough that the fixture cuts
+	// into one morsel per partition, so the parallel forms run instead of
+	// their one-morsel serial fallback. All pruned-partition recharges are
 	// worker-side there; each consumer must still agree with its pull twin.
 	s3 := scanOf(t, st, "fact")
 	chain := logical.NewFilter(s3, expr.NewBinary(expr.OpGe, expr.Ref(s3.ColumnFor("f_v")), expr.Lit(types.Int(300))))

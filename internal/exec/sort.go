@@ -12,46 +12,25 @@ import (
 	"repro/internal/vec"
 )
 
+// buildSort builds the one sort operator. A sort is a pipeline breaker: its
+// input — a morsel-parallel fused chain included — is drained through the
+// BatchIterator facade, and the sort's own parallelism is in sortIter.build.
 func (ex *executor) buildSort(s *logical.Sort) (BatchIterator, error) {
-	// A sort over a fusible chain becomes a pipeline sink: each morsel's
-	// worker cuts its own stable-sorted runs and emission k-way merges them
-	// in morsel order (pipesink.go), reusing the spill-merge machinery.
-	if !ex.opts.PullExec && ex.opts.Parallelism > 1 {
-		if it, ok, err := ex.buildSortRunSink(s); ok || err != nil {
-			return it, err
-		}
-	}
 	in, err := ex.buildConsumed(s.Input)
 	if err != nil {
 		return nil, err
 	}
-	return ex.newSortIter(s, in)
-}
-
-// sortKeyEvs compiles one instance of the sort-key evaluators (row
-// evaluators own scratch, so every goroutine sorting rows needs its own).
-func sortKeyEvs(s *logical.Sort) ([]*evaluator, error) {
 	layout := layoutOf(s.Input)
 	evs := make([]*evaluator, len(s.Keys))
 	for i, k := range s.Keys {
-		ev, err := newEvaluator(k.E, layout)
-		if err != nil {
+		if evs[i], err = newEvaluator(k.E, layout); err != nil {
 			return nil, err
 		}
-		evs[i] = ev
-	}
-	return evs, nil
-}
-
-func (ex *executor) newSortIter(s *logical.Sort, in BatchIterator) (BatchIterator, error) {
-	evs, err := sortKeyEvs(s)
-	if err != nil {
-		return nil, err
 	}
 	it := &sortIter{
 		in: in, evs: evs, keys: s.Keys,
 		width: len(s.Input.Schema()), batchSize: ex.opts.BatchSize, m: ex.metrics,
-		tracker: ex.tracker, spillDir: ex.mempool.SpillDir(),
+		pool: ex.pool, tracker: ex.tracker, spillDir: ex.mempool.SpillDir(),
 	}
 	// Remove run files even if the query is abandoned mid-emission (LIMIT,
 	// error); SpillFile.Close is idempotent, so double-close on the normal
@@ -63,14 +42,18 @@ func (ex *executor) newSortIter(s *logical.Sort, in BatchIterator) (BatchIterato
 // sortIter is a blocking sort with graceful degradation: input rows buffer
 // in memory under a memctl reservation, and when the pool asks it to shed
 // memory it stable-sorts the buffered rows and writes them to a spill run.
-// Emission is then a k-way merge of the sorted runs.
+// At end of input the in-memory rows are cut into up to pool-size runs
+// sorted in parallel. Emission is a k-way merge of all the sorted runs, or a
+// plain batcher when there is only one.
 //
 // The merge reproduces the in-memory sort bit-for-bit. Each run holds a
-// contiguous range of input rows (runs are cut in input order and the
-// in-memory leftover is the final run), each run is sorted with
-// sort.SliceStable, and merge ties break toward the earlier run — so equal
-// keys emit in input order, exactly as one global stable sort would.
-// NULLs order last ascending, first descending.
+// contiguous range of input rows (spill runs are cut in input order and the
+// in-memory runs split the leftover in order after them), each run is
+// sorted with sort.SliceStable, and merge ties break toward the earlier run —
+// so equal keys emit in input order, exactly as one global stable sort
+// would. NULLs order last ascending, first descending. The key evaluators
+// are compiled row closures that capture no scratch, so the run sorts share
+// them.
 type sortIter struct {
 	in        BatchIterator
 	evs       []*evaluator
@@ -78,6 +61,7 @@ type sortIter struct {
 	width     int
 	batchSize int
 	m         *Metrics
+	pool      *workerPool
 	tracker   *memctl.Tracker
 	spillDir  string
 
@@ -90,7 +74,7 @@ type sortIter struct {
 	runs     []*storage.SpillFile
 
 	built bool
-	// Exactly one of out (no spill happened) and merge (spilled) is set.
+	// Exactly one of out (one in-memory run) and merge (several runs) is set.
 	out   *rowsBatcher
 	merge *sortMerger
 }
@@ -121,6 +105,21 @@ func (it *sortIter) Spill() (int64, error) {
 	it.tracker.Release(opSort, freed)
 	it.tracker.AddSpill(opSort, f.Bytes(), 1)
 	return freed, nil
+}
+
+// writeSortedRun writes already-sorted rows out as one spill run.
+func writeSortedRun(spillDir string, width int, rows []Row) (*storage.SpillFile, error) {
+	w, err := storage.NewSpillWriter(spillDir, width)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		if err := w.Append(row); err != nil {
+			w.Abort()
+			return nil, err
+		}
+	}
+	return w.Finish()
 }
 
 func (it *sortIter) closeRuns() {
@@ -159,24 +158,23 @@ func (it *sortIter) build() error {
 	it.buf = nil
 	it.mu.Unlock()
 
-	sortRowsStable(rows, it.evs, it.keys)
-	if len(runs) == 0 {
-		// Pure in-memory path — identical to the pre-spill implementation.
-		// The batcher releases each row's reservation as it streams out.
+	k := max(1, min(it.pool.Size(), len(rows)/it.batchSize))
+	if k == 1 && len(runs) == 0 {
+		// One in-memory run: the batcher releases each row's reservation
+		// as it streams out.
+		sortRowsStable(rows, it.evs, it.keys)
 		it.out = &rowsBatcher{
 			rows: rows, width: it.width, batchSize: it.batchSize,
 			tracker: it.tracker, op: opSort, residual: resident,
 		}
 		return nil
 	}
-	cursors := make([]*sortRunCursor, 0, len(runs)+1)
+	cursors := make([]*sortRunCursor, 0, len(runs)+k)
 	for _, f := range runs {
 		cursors = append(cursors, &sortRunCursor{file: f, rd: f.NewReader(), width: it.width})
 	}
 	if len(rows) > 0 {
-		// The in-memory leftover is the latest contiguous input range, so
-		// it merges as the final run.
-		cursors = append(cursors, &sortRunCursor{rows: rows, residual: resident, tracker: it.tracker})
+		cursors = append(cursors, it.sortRuns(rows, resident, k)...)
 	} else if resident > 0 {
 		it.tracker.Release(opSort, resident)
 	}
@@ -190,6 +188,39 @@ func (it *sortIter) build() error {
 		width: it.width, batchSize: it.batchSize,
 	}
 	return nil
+}
+
+// sortRuns cuts the in-memory rows into k contiguous runs and stable-sorts
+// them on the worker pool, each holding one slot only while it sorts. The
+// rows are the latest contiguous input range, so their runs merge after
+// every spill run. Each run's cursor releases its own rows' reservation as
+// they emit; the last run takes the remainder.
+func (it *sortIter) sortRuns(rows []Row, resident int64, k int) []*sortRunCursor {
+	cursors := make([]*sortRunCursor, k)
+	var wg sync.WaitGroup
+	for i := range cursors {
+		c := &sortRunCursor{rows: rows[i*len(rows)/k : (i+1)*len(rows)/k], tracker: it.tracker}
+		cursors[i] = c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			it.pool.acquire()
+			defer it.pool.release()
+			sortRowsStable(c.rows, it.evs, it.keys)
+			if i < k-1 {
+				for _, row := range c.rows {
+					c.residual += rowMemBytes(row)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	last := resident
+	for _, c := range cursors[:k-1] {
+		last -= c.residual
+	}
+	cursors[k-1].residual = max(0, last)
+	return cursors
 }
 
 func (it *sortIter) drainInput() error {
@@ -279,8 +310,8 @@ func compareKeys(a, b []types.Value, keys []logical.SortKey) int {
 	return 0
 }
 
-// sortRunCursor walks one sorted run — either a spill file or the
-// in-memory leftover.
+// sortRunCursor walks one sorted run — either a spill file or an in-memory
+// run.
 type sortRunCursor struct {
 	// File-backed run.
 	file  *storage.SpillFile
@@ -342,10 +373,9 @@ func (c *sortRunCursor) advance(evs []*evaluator) error {
 	return nil
 }
 
-// sortMerger k-way merges the sorted runs. Ties pick the earliest run,
-// which carries the earliest input rows — the stability tie-break. It is
-// shared by the blocking sortIter and the push-pipeline sort-run sink,
-// so it carries its own key machinery rather than a parent iterator.
+// sortMerger k-way merges a sort's runs — spill files and in-memory runs
+// alike, in input order. Ties pick the earliest run, which carries the
+// earliest input rows — the stability tie-break.
 type sortMerger struct {
 	cursors   []*sortRunCursor
 	evs       []*evaluator

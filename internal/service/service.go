@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/engine"
+	"repro/internal/memctl"
 )
 
 // Sentinel errors; test with errors.Is.
@@ -461,8 +462,11 @@ func (s *Server) launch(round []*item) {
 //   - Progress: retries are serialized through retryMu, so a retrying
 //     query effectively runs alone among retriers — two queries that each
 //     fit the budget alone but not together cannot keep failing each
-//     other. A query that exhausts memory while the pool is empty cannot
-//     be helped by waiting and fails with the engine's error.
+//     other. A query whose failed reservation would not fit even with the
+//     pool to itself cannot be helped by waiting and fails with the
+//     engine's error. The test reads the error, not the pool: the pool
+//     can empty between the failure and any later look at it, and an
+//     attempt's own teardown fires the release channel too.
 func (s *Server) runWithMemoryWait(it *item) (*engine.Result, error) {
 	pool := s.eng.MemPool()
 	res, err := s.eng.QueryAs(it.ctx, it.tenant, it.sql)
@@ -477,7 +481,7 @@ func (s *Server) runWithMemoryWait(it *item) (*engine.Result, error) {
 		if err == nil || !errors.Is(err, engine.ErrMemoryExceeded) {
 			return res, err
 		}
-		if pool.Used() == 0 {
+		if !fitsAlone(err) {
 			return nil, err
 		}
 		select {
@@ -486,4 +490,19 @@ func (s *Server) runWithMemoryWait(it *item) (*engine.Result, error) {
 			return nil, err
 		}
 	}
+}
+
+// fitsAlone reports whether a failed reservation would have fit had the
+// query held the pool alone: the bytes it asked for plus the bytes it held
+// stay within the limit, so someone else's memory made it fail.
+func fitsAlone(err error) bool {
+	var me *memctl.MemoryExceededError
+	if !errors.As(err, &me) {
+		return false
+	}
+	need := me.Requested
+	for _, b := range me.Held {
+		need += b
+	}
+	return need <= me.Limit
 }

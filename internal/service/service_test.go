@@ -356,6 +356,33 @@ func TestMemoryContentionQueues(t *testing.T) {
 	}
 }
 
+// TestMemoryExceededAloneFails submits a query whose join build exceeds the
+// engine's budget on its own while other memory stays pinned: waiting for
+// that memory cannot help, so the service must fail the query with
+// ErrMemoryExceeded at once rather than hold it until its deadline.
+func TestMemoryExceededAloneFails(t *testing.T) {
+	st := testStore(t)
+	eng := engine.OpenWithStore(st, engine.Config{MemoryLimitBytes: 1536})
+	defer eng.Close()
+	s := New(eng, Config{})
+	defer s.Shutdown(context.Background())
+
+	hog := eng.MemPool().NewTracker("hog")
+	if err := hog.Reserve("hog", 512); err != nil {
+		t.Fatalf("hog reserve: %v", err)
+	}
+	defer hog.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := s.Submit(ctx, "a", "SELECT d_grp, COUNT(*) FROM fact JOIN dim ON f_k1 = d_k GROUP BY d_grp")
+	if !errors.Is(err, engine.ErrMemoryExceeded) {
+		t.Fatalf("Submit = %v, want ErrMemoryExceeded", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("the query waited out its deadline for memory that could not help it")
+	}
+}
+
 // TestShutdownDrains submits a backlog, shuts down mid-flight, and checks
 // every accepted query still got its exact result while later submissions
 // are rejected.
