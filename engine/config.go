@@ -92,14 +92,13 @@ type Config struct {
 	// (the default; no normalization needed).
 	ResultCacheBytes int64
 
-	// naiveMasks, pullExec and noSkip select the reference twin of the
-	// mask-family kernel (per-expression value vectors), of push-based
-	// pipeline fusion (pull iterators, serial sinks) and of data skipping
-	// (decode every surviving partition). Rows and logical metrics are
-	// identical either way; the twins exist so the differential matrix in
-	// this package can compare against them, which is why only in-package
-	// tests can set them.
-	naiveMasks, pullExec, noSkip bool
+	// naiveMasks and noSkip select the reference twin of the mask-family
+	// kernel (per-expression value vectors) and of data skipping (decode
+	// every surviving partition). Rows and logical metrics are identical
+	// either way; the twins exist so the differential matrix in this package
+	// can compare against them, which is why only in-package tests can set
+	// them.
+	naiveMasks, noSkip bool
 }
 
 // normalize resolves every defaulted Config field to its effective value.

@@ -19,8 +19,8 @@ import (
 // This file is the single-query differential matrix. The engine's result
 // contract is that execution configuration is unobservable: parallelism,
 // batch size, scan sharing, a memory limit that forces spilling, the
-// mask-family kernel, push-based pipeline fusion and data skipping may only
-// change physical counters. Each row of diffMatrix names one such feature:
+// mask-family kernel, the morsel-parallel drive of fused stages and data
+// skipping may only change physical counters. Each row of diffMatrix names one such feature:
 // a serial row-at-a-time reference (running the feature's in-tree twin when
 // it has one), the execution shapes the candidate runs under, and the
 // physical counter that proves which side ran. Every candidate must
@@ -89,6 +89,7 @@ var (
 // engaged.
 type diffCounts struct {
 	engaged        int64 // diffRow.engaged
+	fused          int64 // Pipeline.FusedPipelines
 	saved          int64 // Pipeline.MaterializedBatchesSaved
 	spilledGroupBy int64 // MemOperators["groupby"].SpilledBytes
 	spilledSort    int64 // MemOperators["sort"].SpilledBytes
@@ -119,7 +120,17 @@ type diffRow struct {
 }
 
 var (
-	execRow  = diffRow{name: "exec", seeds: 140, shapes: execShapes}
+	// The serial row-at-a-time reference pulls the same compiled stages the
+	// candidate shapes push on morsel workers.
+	execRow = diffRow{name: "exec", seeds: 140, shapes: execShapes,
+		nonVacuous: func(t *testing.T, corpus string, _ bool, n diffCounts) {
+			if n.fused == 0 {
+				t.Fatalf("no fused pipelines — Filter/Project stacks are not compiling into stages")
+			}
+			if corpus == "tpcds" && n.saved == 0 {
+				t.Fatalf("no materializations saved — fused projections are not engaging")
+			}
+		}}
 	spillRow = diffRow{name: "spill", seeds: 60, shapes: spillShapes,
 		nonVacuous: func(t *testing.T, corpus string, _ bool, n diffCounts) {
 			// Both aggregation and sort must have shed bytes, and TPC-DS
@@ -148,17 +159,12 @@ var (
 				t.Fatalf("comparison leaves: %d groups, %d leaves, %d generic re-runs — want leaves > groups and no re-runs", n.cmpGroups, n.cmpLeaves, n.cmpReruns)
 			}
 		}}
+	// The pipeline row holds batch size fixed across the drive seam: its
+	// twin pulls every stack serially at the shape's batch size, coalescing
+	// short scan batches, where the shape pushes multi-morsel scans on the
+	// worker pool.
 	pipelineRow = diffRow{name: "pipeline", seeds: 60, shapes: maskConfigs, revalidate: true,
-		twin:    func(c *Config) { c.pullExec = true },
-		engaged: func(m *Metrics) int64 { return m.Pipeline.FusedPipelines },
-		nonVacuous: func(t *testing.T, corpus string, _ bool, n diffCounts) {
-			if n.engaged == 0 {
-				t.Fatalf("no fused pipelines — the push path is not engaging")
-			}
-			if corpus == "tpcds" && n.saved == 0 {
-				t.Fatalf("no materializations saved — fused projections are not engaging")
-			}
-		}}
+		twin: func(c *Config) { c.Parallelism = 1 }}
 	// The random corpora spread values uniformly across partitions, where
 	// zone maps rarely exclude anything, so skipping's non-vacuity is pinned
 	// by TestDifferentialSkipSelective on a clustered store instead.
@@ -318,6 +324,7 @@ func runDiffRow(t *testing.T, row diffRow, c diffCase, totals *[2]diffCounts) {
 					continue
 				}
 				n.engaged += engaged
+				n.fused += res.Metrics.Pipeline.FusedPipelines
 				n.cmpGroups += after.CompareGroups - before.CompareGroups
 				n.cmpLeaves += after.CompareLeaves - before.CompareLeaves
 				n.cmpReruns += after.CompareGenericReruns - before.CompareGenericReruns

@@ -159,7 +159,6 @@ func (e *Engine) execOptionsAs(sqlText, tenant string) exec.Options {
 		Tenant:         tenant,
 		QueryText:      sqlText,
 		NaiveMasks:     e.config.naiveMasks,
-		PullExec:       e.config.pullExec,
 		NoSkip:         e.config.noSkip,
 
 		ResultCacheBytes: e.config.ResultCacheBytes,

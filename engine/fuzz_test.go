@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/testgen"
 	"repro/internal/tpcds"
 )
 
@@ -123,4 +124,25 @@ func TestRandomizedThreeWayEquivalence(t *testing.T) {
 		t.Errorf("fusion only changed %d/60 random queries; generator drifted", fusedChanged)
 	}
 	t.Logf("3-way equivalence on 60 random queries; fusion fired on %d", fusedChanged)
+}
+
+// FuzzQueryNoPanic feeds arbitrary SQL to Query over the testgen store. A
+// malformed or ill-typed statement must come back as an error: nothing in
+// the engine recovers a panic, so one would take down a server and every
+// tenant on it.
+func FuzzQueryNoPanic(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(testgen.New(seed).Query())
+	}
+	for _, q := range []string{
+		"SELECT f_k1 FROM fact WHERE f_k1 IN (SELECT d_name FROM dim)",
+		"SELECT(0)FROM fACt WHERE(00BETWEEN 0AND'')",
+	} {
+		f.Add(q)
+	}
+	eng := OpenWithStore(diffTestStore(f), Config{})
+	f.Cleanup(func() { eng.Close() })
+	f.Fuzz(func(t *testing.T, sql string) {
+		eng.Query(sql) // errors are fine; a panic fails the target
+	})
 }

@@ -265,6 +265,9 @@ func (ctx *coreCtx) bindInSubquery(in *sql.InExpr) error {
 	if len(sub.cols) != 1 {
 		return fmt.Errorf("binder: IN subquery must return exactly one column, got %d", len(sub.cols))
 	}
+	if err := checkComparable(probe, expr.Ref(sub.cols[0])); err != nil {
+		return err
+	}
 	ctx.plan = &logical.Join{
 		Kind:  logical.SemiJoin,
 		Left:  ctx.plan,
@@ -690,6 +693,11 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("binder: unsupported operator %q", x.Op)
 		}
+		if op.IsComparison() {
+			if err := checkComparable(l, r); err != nil {
+				return nil, err
+			}
+		}
 		return expr.NewBinary(op, l, r), nil
 
 	case *sql.NotExpr:
@@ -719,6 +727,12 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkComparable(inner, lo); err != nil {
+			return nil, err
+		}
+		if err := checkComparable(inner, hi); err != nil {
+			return nil, err
+		}
 		rng := expr.And(
 			expr.NewBinary(expr.OpGe, inner, lo),
 			expr.NewBinary(expr.OpLe, inner, hi),
@@ -740,6 +754,9 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 		for i, item := range x.List {
 			list[i], err = ctx.bindExpr(item)
 			if err != nil {
+				return nil, err
+			}
+			if err := checkComparable(inner, list[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -790,6 +807,17 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 	}
 }
 
+// checkComparable rejects a comparison between l and r unless
+// types.Compare can order their values: comparable kinds, or a side typed
+// KindUnknown (the NULL literal), whose NULL never reaches a comparison.
+func checkComparable(l, r expr.Expr) error {
+	lk, rk := l.Type(), r.Type()
+	if types.Comparable(lk, rk) || lk == types.KindUnknown || rk == types.KindUnknown {
+		return nil
+	}
+	return fmt.Errorf("binder: cannot compare %s with %s", lk, rk)
+}
+
 var binOps = map[string]expr.BinOp{
 	"+": expr.OpAdd, "-": expr.OpSub, "*": expr.OpMul, "/": expr.OpDiv,
 	"=": expr.OpEq, "<>": expr.OpNe, "<": expr.OpLt, "<=": expr.OpLe,
@@ -812,6 +840,9 @@ func (ctx *coreCtx) bindCase(x *sql.CaseExpr) (expr.Expr, error) {
 			return nil, err
 		}
 		if operand != nil {
+			if err := checkComparable(operand, cond); err != nil {
+				return nil, err
+			}
 			cond = expr.Eq(operand, cond)
 		}
 		then, err := ctx.bindExpr(w.Then)

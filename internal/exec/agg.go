@@ -292,7 +292,7 @@ func (ex *executor) buildGroupBy(g *logical.GroupBy) (BatchIterator, error) {
 	// states, merged in fixed morsel order (pipesink.go). This closes the
 	// "scalar aggregation stays serial" gap while keeping float sums
 	// bit-for-bit identical to the serial order.
-	if len(g.Keys) == 0 && !ex.opts.PullExec && ex.opts.Parallelism > 1 {
+	if len(g.Keys) == 0 && ex.opts.Parallelism > 1 {
 		if it, ok, err := ex.buildScalarAggSink(g); ok || err != nil {
 			return it, err
 		}

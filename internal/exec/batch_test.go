@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -164,12 +166,22 @@ func TestExecOptionEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelScanEarlyExit makes sure a LIMIT above a parallel scan stops
-// cleanly: correct prefix, no hangs, workers released via the run's closers
-// (the race detector on CI would flag leaked workers touching metrics).
+// TestParallelScanEarlyExit makes sure a consumer that abandons a
+// morsel-parallel chain mid-stream stops cleanly: EnforceSingleRow over a
+// multi-morsel scan fails on its second row, and the run's closers stop
+// every worker (the race detector on CI would flag leaked workers touching
+// metrics). A LIMIT over the scan returns the serial prefix.
 func TestParallelScanEarlyExit(t *testing.T) {
 	st := fixture(t)
 	sales := scanOf(t, st, "sales")
+	base := runtime.NumGoroutine()
+	esr := &logical.EnforceSingleRow{Input: logical.NewFilter(sales,
+		expr.NewBinary(expr.OpGe, expr.Ref(sales.ColumnFor("s_qty")), expr.Lit(types.Int(0))))}
+	if _, err := RunWith(esr, st, Options{Parallelism: 4, BatchSize: 2}); !errors.Is(err, errTooManyRows) {
+		t.Fatalf("err = %v, want errTooManyRows", err)
+	}
+	waitGoroutines(t, base)
+
 	plan := &logical.Limit{Input: sales, N: 2}
 	res, err := RunWith(plan, st, Options{Parallelism: 4, BatchSize: 2})
 	if err != nil {

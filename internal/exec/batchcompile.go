@@ -269,7 +269,7 @@ func compileBatchBinary(x *expr.Binary, layout map[expr.ColumnID]int) (batchFn, 
 					out[i] = types.NullOf(types.KindBool)
 					continue
 				}
-				out[i] = types.Bool(compareSatisfies(op, types.Compare(a, c)))
+				out[i] = types.Bool(expr.CompareHolds(op, types.Compare(a, c)))
 			}
 		}, nil
 	}
@@ -279,7 +279,7 @@ func compileBatchBinary(x *expr.Binary, layout map[expr.ColumnID]int) (batchFn, 
 	return func(b *vec.Batch, out []types.Value) {
 		lv, rv := operands(b, len(out))
 		for i := range out {
-			out[i] = arith(op, resultKind, lv[i], rv[i])
+			out[i] = expr.Arith(op, resultKind, lv[i], rv[i])
 		}
 	}, nil
 }
@@ -318,7 +318,7 @@ func compileCmpColLit(x *expr.Binary, layout map[expr.ColumnID]int) batchFn {
 				if v := col[i]; v.Null {
 					out[i] = types.NullOf(types.KindBool)
 				} else {
-					out[i] = types.Bool(compareSatisfies(op, types.Compare(v, c)))
+					out[i] = types.Bool(expr.CompareHolds(op, types.Compare(v, c)))
 				}
 			}
 			return
@@ -327,7 +327,7 @@ func compileCmpColLit(x *expr.Binary, layout map[expr.ColumnID]int) batchFn {
 			if v := col[r]; v.Null {
 				out[i] = types.NullOf(types.KindBool)
 			} else {
-				out[i] = types.Bool(compareSatisfies(op, types.Compare(v, c)))
+				out[i] = types.Bool(expr.CompareHolds(op, types.Compare(v, c)))
 			}
 		}
 	}
@@ -359,7 +359,7 @@ func compileCmpColCol(x *expr.Binary, layout map[expr.ColumnID]int) batchFn {
 				if lv.Null || rv.Null {
 					out[i] = types.NullOf(types.KindBool)
 				} else {
-					out[i] = types.Bool(compareSatisfies(op, types.Compare(lv, rv)))
+					out[i] = types.Bool(expr.CompareHolds(op, types.Compare(lv, rv)))
 				}
 			}
 			return
@@ -369,7 +369,7 @@ func compileCmpColCol(x *expr.Binary, layout map[expr.ColumnID]int) batchFn {
 			if lv.Null || rv.Null {
 				out[i] = types.NullOf(types.KindBool)
 			} else {
-				out[i] = types.Bool(compareSatisfies(op, types.Compare(lv, rv)))
+				out[i] = types.Bool(expr.CompareHolds(op, types.Compare(lv, rv)))
 			}
 		}
 	}
@@ -415,53 +415,4 @@ func kleeneOr(lv, rv types.Value) types.Value {
 		return types.NullOf(types.KindBool)
 	}
 	return types.Bool(false)
-}
-
-func compareSatisfies(op expr.BinOp, c int) bool {
-	switch op {
-	case expr.OpEq:
-		return c == 0
-	case expr.OpNe:
-		return c != 0
-	case expr.OpLt:
-		return c < 0
-	case expr.OpLe:
-		return c <= 0
-	case expr.OpGt:
-		return c > 0
-	default:
-		return c >= 0
-	}
-}
-
-func arith(op expr.BinOp, resultKind types.Kind, lv, rv types.Value) types.Value {
-	if lv.Null || rv.Null {
-		return types.NullOf(resultKind)
-	}
-	if op == expr.OpDiv {
-		rf := rv.AsFloat()
-		if rf == 0 {
-			return types.NullOf(types.KindFloat64)
-		}
-		return types.Float(lv.AsFloat() / rf)
-	}
-	if lv.Kind == types.KindFloat64 || rv.Kind == types.KindFloat64 {
-		lf, rf := lv.AsFloat(), rv.AsFloat()
-		switch op {
-		case expr.OpAdd:
-			return types.Float(lf + rf)
-		case expr.OpSub:
-			return types.Float(lf - rf)
-		default:
-			return types.Float(lf * rf)
-		}
-	}
-	switch op {
-	case expr.OpAdd:
-		return types.Int(lv.I + rv.I)
-	case expr.OpSub:
-		return types.Int(lv.I - rv.I)
-	default:
-		return types.Int(lv.I * rv.I)
-	}
 }

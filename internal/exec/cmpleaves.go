@@ -330,7 +330,7 @@ func cmpWordGeneric(op expr.BinOp, lcol, rcol []types.Value, lit types.Value, se
 		if rcol != nil {
 			rv = rcol[r]
 		}
-		if !lv.Null && !rv.Null && compareSatisfies(op, types.Compare(lv, rv)) {
+		if !lv.Null && !rv.Null && expr.CompareHolds(op, types.Compare(lv, rv)) {
 			w |= 1 << uint(j)
 		}
 	}

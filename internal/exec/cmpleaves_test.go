@@ -29,7 +29,7 @@ var cmpOps = []expr.BinOp{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt,
 
 // checkCompareLeaves compiles every spec into one comparison-leaf table over
 // column 0 and compares each slot, row by row, with the obviously-right
-// model: NULL iff the column value is NULL, else TRUE iff compareSatisfies
+// model: NULL iff the column value is NULL, else TRUE iff expr.CompareHolds
 // over types.Compare with the operands in the order the expression wrote
 // them (so flipCmp is under test, not assumed).
 func checkCompareLeaves(t testing.TB, b *vec.Batch, col *expr.Column, specs []cmpLeafSpec) {
@@ -62,9 +62,9 @@ func checkCompareLeaves(t testing.TB, b *vec.Batch, col *expr.Column, specs []cm
 			case v.Null:
 				wantN = true
 			case s.litLeft:
-				wantT = compareSatisfies(s.op, types.Compare(s.lit, v))
+				wantT = expr.CompareHolds(s.op, types.Compare(s.lit, v))
 			default:
-				wantT = compareSatisfies(s.op, types.Compare(v, s.lit))
+				wantT = expr.CompareHolds(s.op, types.Compare(v, s.lit))
 			}
 			if wantT {
 				wantTrue++
@@ -288,7 +288,7 @@ func TestCmpColColAgainstCompare(t *testing.T) {
 					for i := 0; i < n; i++ {
 						lv, rv := b.Value(0, i), b.Value(1, i)
 						wantN := lv.Null || rv.Null
-						wantT := !wantN && compareSatisfies(op, types.Compare(lv, rv))
+						wantT := !wantN && expr.CompareHolds(op, types.Compare(lv, rv))
 						if wantT {
 							wantTrue++
 						}

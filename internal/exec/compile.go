@@ -212,21 +212,7 @@ func compileBinary(x *expr.Binary, layout map[expr.ColumnID]int) (evalFn, error)
 			if rv.Null {
 				return types.NullOf(types.KindBool)
 			}
-			c := types.Compare(lv, rv)
-			switch op {
-			case expr.OpEq:
-				return types.Bool(c == 0)
-			case expr.OpNe:
-				return types.Bool(c != 0)
-			case expr.OpLt:
-				return types.Bool(c < 0)
-			case expr.OpLe:
-				return types.Bool(c <= 0)
-			case expr.OpGt:
-				return types.Bool(c > 0)
-			default:
-				return types.Bool(c >= 0)
-			}
+			return types.Bool(expr.CompareHolds(op, types.Compare(lv, rv)))
 		}, nil
 	}
 	// Arithmetic.
@@ -237,35 +223,6 @@ func compileBinary(x *expr.Binary, layout map[expr.ColumnID]int) (evalFn, error)
 		if lv.Null {
 			return types.NullOf(resultKind)
 		}
-		rv := r(row)
-		if rv.Null {
-			return types.NullOf(resultKind)
-		}
-		if op == expr.OpDiv {
-			rf := rv.AsFloat()
-			if rf == 0 {
-				return types.NullOf(types.KindFloat64)
-			}
-			return types.Float(lv.AsFloat() / rf)
-		}
-		if lv.Kind == types.KindFloat64 || rv.Kind == types.KindFloat64 {
-			lf, rf := lv.AsFloat(), rv.AsFloat()
-			switch op {
-			case expr.OpAdd:
-				return types.Float(lf + rf)
-			case expr.OpSub:
-				return types.Float(lf - rf)
-			default:
-				return types.Float(lf * rf)
-			}
-		}
-		switch op {
-		case expr.OpAdd:
-			return types.Int(lv.I + rv.I)
-		case expr.OpSub:
-			return types.Int(lv.I - rv.I)
-		default:
-			return types.Int(lv.I * rv.I)
-		}
+		return expr.Arith(op, resultKind, lv, r(row))
 	}, nil
 }

@@ -88,11 +88,6 @@ type Options struct {
 	// evaluators. Results are identical either way — this is the
 	// differential-validation reference, not a tuning knob.
 	NaiveMasks bool
-	// PullExec disables push-based pipeline fusion: every operator runs as
-	// its own pull iterator with per-boundary batch materialization, exactly
-	// the pre-fusion execution model. Results are identical either way —
-	// this is the differential-validation reference.
-	PullExec bool
 	// SharedClients, when > 1, marks this run as a cross-query fused plan
 	// executed once on behalf of that many concurrent clients
 	// (internal/xfuse). Memory reservations are then attributed through a
@@ -159,12 +154,12 @@ type Metrics struct {
 	SpilledBytes    int64
 	SpillFiles      int64
 	MemOperators    map[string]memctl.OpStats
-	// Pipeline counts push-based fusion activity (zero under
-	// Options.PullExec): FusedPipelines is the number of compiled operator
-	// chains with at least one fused stage, PipelineBatches the source
-	// batches pushed through them, and MaterializedBatchesSaved the batches
-	// that crossed a fused project boundary without the dense column
-	// materialization the pull path would have performed.
+	// Pipeline counts compiled Filter/Project stage activity:
+	// FusedPipelines is the number of compiled stacks with at least one
+	// fused stage, PipelineBatches the source batches run through them, and
+	// MaterializedBatchesSaved the batches that crossed a fused project
+	// boundary with their column references aliased instead of copied into
+	// dense vectors.
 	Pipeline PipelineMetrics
 	// ResultCache counts semantic result-cache activity for this run
 	// (internal/rescache; all zero when Options.ResultCacheBytes is 0).
@@ -367,14 +362,14 @@ type executor struct {
 	closers []func()
 	closed  bool
 	// noPush > 0 while building a subtree a LIMIT above may abandon
-	// mid-stream on success. Push pipelines run ahead of their consumer and
-	// charge metrics worker-side, which only matches the pull path under
-	// guaranteed-total consumption, so such subtrees stay pull; blocking
-	// operators reset the guard for their own (totally consumed) inputs via
-	// buildConsumed.
+	// mid-stream on success. Morsel-parallel chains run ahead of their
+	// consumer and charge metrics worker-side, which only matches a serial
+	// run under guaranteed-total consumption, so such subtrees scan
+	// serially in their consumer's pull; blocking operators reset the guard
+	// for their own (totally consumed) inputs via buildConsumed.
 	noPush int
 	// sideCtrls maps each built scan leaf to its skip controller so the
-	// layers that know the predicates (filters, chains, hash joins) can
+	// layers that know the predicates (chains, hash joins) can
 	// configure pruning after the leaf is built. Empty under Options.NoSkip.
 	sideCtrls map[*logical.Scan]*scanCtrlReg
 	// extraSkip carries zone checks compiled by RunShared from the
@@ -445,27 +440,17 @@ func newEvaluator(e expr.Expr, layout map[expr.ColumnID]int) (*evaluator, error)
 // eval evaluates against the given row.
 func (ev *evaluator) eval(row Row) types.Value { return ev.fn(row) }
 
-// build dispatches on operator type. Unless Options.PullExec asks for the
-// pure pull model, maximal non-blocking Scan→Filter→Project chains compile
-// into one push-driven pipeline instead of a stack of pull iterators; every
-// other operator (a pipeline breaker) keeps its pull implementation and
-// consumes fused chains through the BatchIterator facade.
+// build dispatches on operator type. Every maximal Scan/Filter/Project
+// stack compiles into one chain of fused stages (buildChain); every other
+// operator (a pipeline breaker) keeps its own iterator and consumes chains
+// through the BatchIterator facade.
 func (ex *executor) build(op logical.Operator) (BatchIterator, error) {
 	if it, ok, err := ex.buildResultCached(op); ok || err != nil {
 		return it, err
 	}
-	if !ex.opts.PullExec {
-		if it, ok, err := ex.buildPipeline(op); ok || err != nil {
-			return it, err
-		}
-	}
 	switch o := op.(type) {
-	case *logical.Scan:
-		return ex.buildScan(o, nil)
-	case *logical.Filter:
-		return ex.buildFilter(o)
-	case *logical.Project:
-		return ex.buildProject(o)
+	case *logical.Scan, *logical.Filter, *logical.Project:
+		return ex.buildChain(op)
 	case *logical.Join:
 		return ex.buildJoin(o)
 	case *logical.GroupBy:
@@ -481,9 +466,9 @@ func (ex *executor) build(op logical.Operator) (BatchIterator, error) {
 	case *logical.Sort:
 		return ex.buildSort(o)
 	case *logical.Limit:
-		// LIMIT abandons its input mid-stream on success; everything below
-		// it (down to the next blocking operator) must stay pull so no
-		// pipeline worker runs ahead of the truncation point.
+		// LIMIT abandons its input mid-stream on success; every scan below
+		// it (down to the next blocking operator) must run in its consumer's
+		// pull so no morsel worker runs ahead of the truncation point.
 		ex.noPush++
 		in, err := ex.build(o.Input)
 		ex.noPush--

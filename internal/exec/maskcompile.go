@@ -204,7 +204,7 @@ func (t *cmpTable) cmpColLit(x *expr.Binary, layout map[expr.ColumnID]int) bitma
 			for i := 0; i < out.Len(); i++ {
 				if v := col[i]; v.Null {
 					out.SetNull(i)
-				} else if compareSatisfies(op, types.Compare(v, c)) {
+				} else if expr.CompareHolds(op, types.Compare(v, c)) {
 					out.SetTrue(i)
 				}
 			}
@@ -213,7 +213,7 @@ func (t *cmpTable) cmpColLit(x *expr.Binary, layout map[expr.ColumnID]int) bitma
 		for i, r := range b.Sel {
 			if v := col[r]; v.Null {
 				out.SetNull(i)
-			} else if compareSatisfies(op, types.Compare(v, c)) {
+			} else if expr.CompareHolds(op, types.Compare(v, c)) {
 				out.SetTrue(i)
 			}
 		}
@@ -286,7 +286,7 @@ func compileBitmapCmpGeneric(x *expr.Binary, layout map[expr.ColumnID]int) (bitm
 			a, c := lv[i], rv[i]
 			if a.Null || c.Null {
 				out.SetNull(i)
-			} else if compareSatisfies(op, types.Compare(a, c)) {
+			} else if expr.CompareHolds(op, types.Compare(a, c)) {
 				out.SetTrue(i)
 			}
 		}

@@ -77,7 +77,7 @@ func CompileStats() CompileCounters {
 // reach any residual, and no intermediate materializes a []types.Value.
 //
 // A single-mask family degenerates to progressive conjunct evaluation with
-// bitmap kernels — filterIter uses exactly that, so the filter operator
+// bitmap kernels — the fused filter stage uses exactly that, so filters
 // and the aggregation masks share one evaluation engine.
 //
 // Like batchEvaluators, a family owns scratch state and is bound to one
@@ -141,8 +141,8 @@ type maskFamilySpec struct {
 
 // newMaskFamilySpec factors a set of masks over one input layout. Masks
 // should be canonical (expr.Canonical) so that shared conjuncts dedup by
-// their rendered form; filterIter passes raw predicates, which only costs
-// missed sharing, never correctness.
+// their rendered form; the filter stage passes raw predicates, which only
+// costs missed sharing, never correctness.
 func newMaskFamilySpec(masks []expr.Expr, layout map[expr.ColumnID]int) *maskFamilySpec {
 	familyFactorings.Add(1)
 	type conjunct struct {

@@ -79,8 +79,8 @@ func partitionBatches(p *storage.Partition, cols []string, batchSize int, share 
 // into batches: the column list and batch size, the run's metrics and CPU
 // pool, the store's scan-share cache (nil when sharing is off) and the leaf's
 // skip controller (nil under Options.NoSkip; its methods are nil-safe).
-// scanSource assembles one per built leaf, and every scan form — serial,
-// morsel-parallel, fused chain — decodes through it.
+// scanSource assembles one per built leaf, and both scan drives — the
+// serial scanIter and the morsel-parallel runChain — decode through it.
 type morselSource struct {
 	cols      []string
 	batchSize int
@@ -90,26 +90,34 @@ type morselSource struct {
 	ctrl      *skipController
 }
 
-// runChain is the push loop every fused-chain consumer shares: decode each
-// partition (or prune it and recharge its rows as-if-scanned), repack the
-// decoded batches to the nominal size, push each through the fused stages,
-// and hand every surviving output batch to emit. Decode, stages and emit
-// are the CPU work and run under one shared pool slot, released on return,
-// so scan leaves, chains and the blocking operators above them together
-// never exceed Parallelism concurrent workers.
+// runChain is the push loop every morsel-parallel consumer shares: decode
+// each partition (or prune it and recharge its rows as-if-scanned), repack
+// the decoded batches to the nominal size, push each through the fused
+// stages, and hand every surviving output batch to emit. A zero-stage chain
+// (a bare scan) skips the repack: its decode batches pass through uncopied,
+// so they keep aliasing the decoded vectors instead of duplicating them.
+// Decode, stages and emit are the CPU work and run under one shared pool
+// slot, released on return, so scan leaves, chains and the blocking
+// operators above them together never exceed Parallelism concurrent
+// workers.
 //
 // Every charge — scan output, per-stage inputs, the skip recharge — is taken
 // here, worker-side: the sums are order-independent and chains never run
-// under LIMIT (executor.noPush), so every consumer drains totally and only
-// the totals matter, not the stream position. Consumers add their own input
-// charge in emit.
+// morsel-parallel under LIMIT (executor.noPush), so every consumer drains
+// totally and only the totals matter, not the stream position. Consumers
+// add their own input charge in emit.
 func (src *morselSource) runChain(parts []*storage.Partition, stages []pipeStage, emit func(*vec.Batch)) error {
 	src.pool.acquire()
 	defer src.pool.release()
-	co := batchCoalescer{target: src.batchSize}
+	var co batchCoalescer
+	if len(stages) > 0 {
+		co.target = src.batchSize
+	}
 	push := func(cb *vec.Batch) {
 		src.m.addProcessed(int64(cb.Len()))
-		src.m.addPipelineBatches(1)
+		if len(stages) > 0 {
+			src.m.addPipelineBatches(1)
+		}
 		if ob := runStages(stages, cb, src.m); ob != nil {
 			emit(ob)
 		}
@@ -136,88 +144,8 @@ func (src *morselSource) runChain(parts []*storage.Partition, stages []pipeStage
 	return nil
 }
 
-// morselItem is one in-order element of a scanned morsel: a decoded batch,
-// or a marker for a pruned partition (b nil, skip its row count). Markers
-// keep the as-if-scanned RowsProcessed recharge at the exact stream
-// position the partition's batches would have occupied, which is what
-// makes pruning invisible to LIMIT truncation.
-type morselItem struct {
-	b    *vec.Batch
-	skip int64
-}
-
-// morselResult is one morsel's delivery: a fused chain's output batches, or
-// the scan leaf's in-order items.
+// morselResult is one morsel's delivery: its chain output batches in order.
 type morselResult struct {
 	batches []*vec.Batch
-	items   []morselItem
 	err     error
-}
-
-// parallelScanIter is the morsel-parallel scan leaf. Workers race down the
-// morsel list under orderedRun's discipline — strict morsel-order delivery,
-// a bound on decoded-but-unconsumed morsels so a fast scan cannot buffer the
-// whole table, and a close() that releases the pool even when the consumer
-// stops early (LIMIT) or the query errors. Unlike a fused chain the leaf may
-// sit under LIMIT, so workers only decide prunes; the consumer applies the
-// recharge at the marker's stream position.
-type parallelScanIter struct {
-	run     *orderedRun[morselResult]
-	src     *morselSource
-	morsels []morsel
-
-	cur    []morselItem
-	curIdx int
-}
-
-func newParallelScan(src *morselSource, morsels []morsel, workers int) *parallelScanIter {
-	return &parallelScanIter{run: newOrderedRun[morselResult](len(morsels), workers), src: src, morsels: morsels}
-}
-
-func (it *parallelScanIter) work(_, i int) morselResult {
-	src := it.src
-	// The decode is the CPU work and runs under a pool slot, like runChain.
-	src.pool.acquire()
-	defer src.pool.release()
-	var items []morselItem
-	for _, p := range it.morsels[i].parts {
-		if src.ctrl.shouldPrune(p) {
-			items = append(items, morselItem{skip: int64(p.NumRows)})
-			continue
-		}
-		batches, err := partitionBatches(p, src.cols, src.batchSize, src.share, src.m, nil)
-		if err != nil {
-			return morselResult{err: err}
-		}
-		for _, b := range batches {
-			items = append(items, morselItem{b: b})
-		}
-	}
-	return morselResult{items: items}
-}
-
-func (it *parallelScanIter) NextBatch() (*vec.Batch, error) {
-	it.run.start(it.work)
-	for {
-		if it.curIdx < len(it.cur) {
-			item := it.cur[it.curIdx]
-			it.curIdx++
-			if item.b == nil {
-				// Pruned partition: recharge exactly where its batches would
-				// have been consumed.
-				it.src.ctrl.recharge(item.skip)
-				continue
-			}
-			it.src.m.addProcessed(int64(item.b.Len()))
-			return item.b, nil
-		}
-		res, ok := it.run.recv()
-		if !ok {
-			return nil, nil
-		}
-		if res.err != nil {
-			return nil, res.err
-		}
-		it.cur, it.curIdx = res.items, 0
-	}
 }

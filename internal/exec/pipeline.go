@@ -11,21 +11,20 @@ import (
 	"repro/internal/vec"
 )
 
-// Push-based pipeline fusion. The plan's fusion rewrites merge logical
-// operators, but a pull executor un-fuses them again at run time: every
-// operator boundary is a virtual NextBatch call and every projection a dense
-// batch materialization. This file compiles maximal non-blocking
-// Scan→Filter→Project chains into one push-driven loop executed per morsel:
-// the chain carries a survivor selection and column references through its
-// stages, filters narrow the selection with the mask-family bitmap kernels,
-// and projections alias pure column references instead of copying them.
-// Pipeline breakers — aggregation finish, sort, join build, window, spool —
-// keep their pull implementations and consume fused chains through the
-// BatchIterator facade; the scalar-aggregation sink (pipesink.go) alone
-// accepts pushed per-morsel sub-batches directly.
-//
-// Options.PullExec disables all of it, keeping the original pull path alive
-// as the differential baseline.
+// Compiled Filter/Project stages. The plan's fusion rewrites merge logical
+// operators, but an operator-per-iterator executor un-fuses them again at
+// run time: every operator boundary is a virtual NextBatch call and every
+// projection a dense batch materialization. This file compiles every
+// maximal Filter/Project stack into one loop body (runStages): the stack
+// carries a survivor selection and column references through its stages,
+// filters narrow the selection with the mask-family bitmap kernels, and
+// projections alias pure column references instead of copying them. The
+// same body is driven two ways: pulled by chainIter over its leaf's
+// iterator (any operator, or the serial scan), or pushed per morsel by
+// runChain on the scan's worker pool (pipelineIter). Pipeline breakers —
+// aggregation finish, sort, join build, window, spool — consume stacks
+// through the BatchIterator facade; the scalar-aggregation sink
+// (pipesink.go) alone accepts pushed per-morsel sub-batches directly.
 
 // stageKind discriminates the fused stage forms.
 type stageKind uint8
@@ -45,14 +44,16 @@ type stageSpec struct {
 	cond    expr.Expr            // filter predicate
 	assigns []logical.Assignment // project outputs
 	layout  map[expr.ColumnID]int
-	mask    *maskSetSpec // cond as a single-mask set; set by executor.execChain only
+	mask    *maskSetSpec // cond as a single-mask set; set by executor.execStack only
 }
 
-// chainSpec is a compiled fusible chain: a scan leaf (with any partition
-// pruner peeled from the filter directly above it) plus the fused stages in
-// source-to-sink order.
+// chainSpec is a compiled Filter/Project stack: its fused stages in
+// source-to-sink order over one leaf — a scan (with any partition pruner
+// peeled from the filter directly above it), or any other operator in
+// input.
 type chainSpec struct {
 	scan   *logical.Scan
+	input  logical.Operator
 	prune  storage.Pruner
 	stages []stageSpec
 	// pruneCond / pruneCol describe the peeled prune predicate (nil when no
@@ -62,17 +63,16 @@ type chainSpec struct {
 	pruneCol  *expr.Column
 }
 
-// compileChain recognizes a maximal non-blocking chain rooted at op: any
-// stack of Filter/Project operators over a Scan leaf. Partition-prune
-// peeling matches the pull builder exactly (only the filter directly above
-// the scan peels), so both execution models scan identical partitions.
-func compileChain(op logical.Operator) (*chainSpec, bool) {
+// compileStack compiles the maximal Filter/Project stack rooted at op (no
+// stages when op is neither) down to its leaf. Only the filter directly
+// above a scan peels partition-pruning conjuncts.
+func compileStack(op logical.Operator) *chainSpec {
 	var rev []stageSpec
 	cur := op
 	for {
 		switch o := cur.(type) {
 		case *logical.Scan:
-			return finishChain(o, nil, nil, nil, rev), true
+			return finishChain(&chainSpec{scan: o}, rev)
 		case *logical.Filter:
 			if scan, ok := o.Input.(*logical.Scan); ok {
 				pruner, pruneCond, pruneCol, residual := splitPartitionPruneCond(scan, o.Cond)
@@ -80,7 +80,7 @@ func compileChain(op logical.Operator) (*chainSpec, bool) {
 					if residual != nil {
 						rev = append(rev, stageSpec{kind: stageFilter, cond: residual, layout: layoutOf(scan)})
 					}
-					return finishChain(scan, pruner, pruneCond, pruneCol, rev), true
+					return finishChain(&chainSpec{scan: scan, prune: pruner, pruneCond: pruneCond, pruneCol: pruneCol}, rev)
 				}
 			}
 			rev = append(rev, stageSpec{kind: stageFilter, cond: o.Cond, layout: layoutOf(o.Input)})
@@ -89,17 +89,24 @@ func compileChain(op logical.Operator) (*chainSpec, bool) {
 			rev = append(rev, stageSpec{kind: stageProject, assigns: o.Cols, layout: layoutOf(o.Input)})
 			cur = o.Input
 		default:
-			return nil, false
+			return finishChain(&chainSpec{input: cur}, rev)
 		}
 	}
 }
 
-func finishChain(scan *logical.Scan, prune storage.Pruner, pruneCond expr.Expr, pruneCol *expr.Column, rev []stageSpec) *chainSpec {
-	cs := &chainSpec{scan: scan, prune: prune, pruneCond: pruneCond, pruneCol: pruneCol}
+func finishChain(cs *chainSpec, rev []stageSpec) *chainSpec {
 	for i := len(rev) - 1; i >= 0; i-- {
 		cs.stages = append(cs.stages, rev[i])
 	}
 	return cs
+}
+
+// compileChain is compileStack for the layers that analyze scan work
+// (AnalyzeChain, the shape cache, shared-prefix skipping): ok is false
+// unless the stack's leaf is a scan.
+func compileChain(op logical.Operator) (*chainSpec, bool) {
+	cs := compileStack(op)
+	return cs, cs.scan != nil
 }
 
 // pipeStage is one instantiated fused stage: a filter's single-mask set, or
@@ -112,18 +119,16 @@ type pipeStage struct {
 	projFns []batchFn
 }
 
-// execChain is compileChain for a chain this run will execute: filter
+// execStack is compileStack for a stack this run will execute: filter
 // stages additionally get the mask-set spec newPipeStages instantiates.
-func (ex *executor) execChain(op logical.Operator) (*chainSpec, bool) {
-	cs, ok := compileChain(op)
-	if ok {
-		for si := range cs.stages {
-			if ss := &cs.stages[si]; ss.kind == stageFilter {
-				ss.mask = newMaskSetSpec([]expr.Expr{ss.cond}, ss.layout, ex.opts.NaiveMasks)
-			}
+func (ex *executor) execStack(op logical.Operator) *chainSpec {
+	cs := compileStack(op)
+	for si := range cs.stages {
+		if ss := &cs.stages[si]; ss.kind == stageFilter {
+			ss.mask = newMaskSetSpec([]expr.Expr{ss.cond}, ss.layout, ex.opts.NaiveMasks)
 		}
 	}
-	return cs, ok
+	return cs
 }
 
 // newPipeStages instantiates the chain's stages for one goroutine. The
@@ -183,10 +188,11 @@ func perWorker[T any](n int, first T, mk func() (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// runStages pushes one source batch through the fused chain. Each stage
-// charges its input rows exactly where the equivalent pull operator would,
-// so RowsProcessed is byte-identical to the pull path on fully-consumed
-// runs. Returns nil when a filter stage eliminates every row.
+// runStages runs one source batch through the fused stages. Each stage
+// charges its input rows, so RowsProcessed is the same whichever way the
+// stack is driven and however its source is cut into batches, as long as
+// the stack is consumed totally. Returns nil when a filter stage eliminates
+// every row.
 //
 // Emitted batches never alias stage scratch (selections and computed
 // columns are freshly allocated; aliased columns point into the decoded
@@ -217,8 +223,8 @@ func runStages(stages []pipeStage, b *vec.Batch, m *Metrics) *vec.Batch {
 					out[i] = col
 				}
 				if aliased {
-					// The pull projector would have copied every aliased
-					// column into a fresh dense vector.
+					// Aliased columns ride along instead of being copied into
+					// fresh dense vectors.
 					m.addMaterializedSaved(1)
 				}
 				b = vec.NewDense(out, n)
@@ -247,47 +253,40 @@ func runStages(stages []pipeStage, b *vec.Batch, m *Metrics) *vec.Batch {
 	return b
 }
 
-// buildPipeline tries to compile op as a push pipeline. ok=false means the
-// operator is not a fusible chain root (or push execution is disabled) and
-// the caller should fall through to the pull builders.
-func (ex *executor) buildPipeline(op logical.Operator) (BatchIterator, bool, error) {
-	if ex.opts.PullExec || ex.noPush > 0 {
-		return nil, false, nil
-	}
-	switch op.(type) {
-	case *logical.Filter, *logical.Project:
-		// Only chain roots with at least one fusible stage; bare scans keep
-		// the existing leaf builders, which are already materialization-free.
-	default:
-		return nil, false, nil
-	}
-	cs, ok := ex.execChain(op)
-	if !ok || len(cs.stages) == 0 {
-		return nil, false, nil
-	}
-	it, err := ex.newChainIterator(cs)
-	if err != nil {
-		return nil, false, err
-	}
-	return it, true, nil
-}
-
-// newChainIterator builds the physical form of a fused chain: morsel-
-// parallel push workers when the scan is large enough, a serial fused loop
-// otherwise.
-func (ex *executor) newChainIterator(cs *chainSpec) (BatchIterator, error) {
-	// Compile one stage instance up front so expression errors surface
-	// before any goroutine starts.
+// buildChain builds the maximal Filter/Project stack rooted at op (a bare
+// scan is a zero-stage stack) as compiled stages over the stack's leaf. A
+// non-scan leaf is built as usual and the stages are pulled over its
+// batches. A scan leaf is pulled serially when a LIMIT above may abandon it
+// mid-stream (executor.noPush) or it spans at most one morsel; otherwise
+// the stages are pushed per morsel on the worker pool.
+func (ex *executor) buildChain(op logical.Operator) (BatchIterator, error) {
+	cs := ex.execStack(op)
+	// Compile one stage instance before the leaf is built, so expression
+	// errors surface before anything is charged or a goroutine starts.
 	stages, err := newPipeStages(cs)
 	if err != nil {
 		return nil, err
+	}
+	if cs.input != nil {
+		in, err := ex.build(cs.input)
+		if err != nil {
+			return nil, err
+		}
+		ex.countChain(cs)
+		return ex.pullStages(in, stages, 0), nil
 	}
 	parts, src, morsels, err := ex.openChain(cs)
 	if err != nil {
 		return nil, err
 	}
+	if ex.noPush > 0 {
+		// Uncoalesced, the stages see exactly the scan's batches, so a
+		// pruned partition is consumed where its batches would have been
+		// and LIMIT truncation charges the same with skipping on or off.
+		return ex.pullStages(&scanIter{src: src, parts: parts}, stages, 0), nil
+	}
 	if len(morsels) <= 1 {
-		return ex.serialChain(parts, src, stages), nil
+		return ex.pullStages(&scanIter{src: src, parts: parts}, stages, ex.opts.BatchSize), nil
 	}
 	run := newOrderedRun[morselResult](len(morsels), ex.opts.Parallelism)
 	wstages, err := perWorker(run.workers, stages, func() ([]pipeStage, error) { return newPipeStages(cs) })
@@ -298,18 +297,25 @@ func (ex *executor) newChainIterator(cs *chainSpec) (BatchIterator, error) {
 	return &pipelineIter{run: run, src: src, morsels: morsels, wstages: wstages}, nil
 }
 
-// openChain commits a fused chain to its scan: it resolves the partitions
-// (charging BytesScanned — from here on the chain must run, never fall back
-// to the pull builders), installs the chain's zone checks on the leaf's
-// fresh skip controller, counts the pipeline, and cuts the morsels. At most
-// one morsel (always, at Parallelism 1) means the caller takes serialChain.
+// countChain counts a stack with at least one stage as a fused pipeline.
+func (ex *executor) countChain(cs *chainSpec) {
+	if len(cs.stages) > 0 {
+		ex.metrics.addFusedPipelines(1)
+	}
+}
+
+// openChain commits a scan-leaf chain to its scan: it resolves the
+// partitions (charging BytesScanned), installs the chain's zone checks on
+// the leaf's fresh skip controller, counts the pipeline, and cuts the
+// morsels. At most one morsel (always, at Parallelism 1) means the caller
+// runs the chain serially.
 func (ex *executor) openChain(cs *chainSpec) ([]*storage.Partition, *morselSource, []morsel, error) {
 	parts, src, err := ex.scanSource(cs.scan, cs.prune)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	ex.configureChainSkip(cs)
-	ex.metrics.addFusedPipelines(1)
+	ex.countChain(cs)
 	var morsels []morsel
 	if ex.opts.Parallelism > 1 {
 		morsels = buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
@@ -317,13 +323,14 @@ func (ex *executor) openChain(cs *chainSpec) ([]*storage.Partition, *morselSourc
 	return parts, src, morsels, nil
 }
 
-// serialChain is the fused loop without workers, over an opened chain and
-// the stage instance its caller compiled for validation.
-func (ex *executor) serialChain(parts []*storage.Partition, src *morselSource, stages []pipeStage) BatchIterator {
-	return &chainIter{
-		src: &scanIter{src: src, parts: parts}, stages: stages, m: ex.metrics,
-		co: batchCoalescer{target: ex.opts.BatchSize},
+// pullStages runs stages over in's batches in its consumer's pull,
+// coalescing short source batches up to coalesce rows (0 passes them
+// through). With no stages it is in itself.
+func (ex *executor) pullStages(in BatchIterator, stages []pipeStage, coalesce int) BatchIterator {
+	if len(stages) == 0 {
+		return in
 	}
+	return &chainIter{src: in, stages: stages, m: ex.metrics, co: batchCoalescer{target: coalesce}}
 }
 
 // batchCoalescer repacks a stream of decoded batches to the nominal batch
@@ -332,8 +339,9 @@ func (ex *executor) serialChain(parts []*storage.Partition, src *morselSource, s
 // per-batch costs (mask-family setup, selection builds, evaluator dispatch)
 // dominate per-row work. Repacking is one columnar copy per short batch;
 // already-full batches pass through untouched, so large partitions and
-// BatchSize 1 pay nothing. Row order is preserved exactly — results and
-// per-row accounting are unchanged, only batch boundaries move.
+// BatchSize 1 pay nothing, and a zero target passes every batch through.
+// Row order is preserved exactly — results and per-row accounting are
+// unchanged, only batch boundaries move.
 type batchCoalescer struct {
 	target int
 	cols   [][]types.Value
@@ -401,8 +409,8 @@ func (co *batchCoalescer) flush() *vec.Batch {
 	return b
 }
 
-// chainIter is the serial fused chain: one loop per source batch, no
-// intermediate operator boundaries.
+// chainIter pulls the fused stages over a source iterator: one loop per
+// source batch, no intermediate operator boundaries.
 type chainIter struct {
 	src     BatchIterator
 	stages  []pipeStage

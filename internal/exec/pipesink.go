@@ -11,7 +11,7 @@ import (
 // through the BatchIterator facade. It is the one blocking operator that
 // does: a scalar aggregate's per-morsel partial is a few states, so folding
 // on the worker saves shipping every batch. It consumes morsel results
-// strictly in morsel order and charges rows exactly where the pull
+// strictly in morsel order and charges rows exactly where the serial
 // aggregation does. Every other pipeline breaker, sort included, drains the
 // morsel-parallel chain (pipelineIter) instead.
 
@@ -23,8 +23,8 @@ import (
 // their masked argument values and replay them serially in morsel order, so
 // float sums stay bit-for-bit identical to the serial accumulation.
 func (ex *executor) buildScalarAggSink(g *logical.GroupBy) (BatchIterator, bool, error) {
-	cs, ok := ex.execChain(g.Input)
-	if !ok {
+	cs := ex.execStack(g.Input)
+	if cs.scan == nil {
 		return nil, false, nil
 	}
 	// Validate chain and aggregate compilation before committing to the
@@ -47,7 +47,7 @@ func (ex *executor) buildScalarAggSink(g *logical.GroupBy) (BatchIterator, bool,
 			return nil, true, err
 		}
 		return &groupByIter{
-			in: ex.serialChain(parts, src, first.stages), acc: acc, scalar: true,
+			in: ex.pullStages(&scanIter{src: src, parts: parts}, first.stages, ex.opts.BatchSize), acc: acc, scalar: true,
 			batchSize: ex.opts.BatchSize, m: ex.metrics,
 		}, true, nil
 	}

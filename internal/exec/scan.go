@@ -9,58 +9,13 @@ import (
 	"repro/internal/vec"
 )
 
-// buildFilter builds a filter; when the input is a scan of a partitioned
-// table, conjuncts referencing only the partition column are peeled off
-// into a partition pruner (the engine's analogue of Athena skipping S3
-// prefixes), and the rest stay as the residual predicate.
-func (ex *executor) buildFilter(f *logical.Filter) (BatchIterator, error) {
-	if scan, ok := f.Input.(*logical.Scan); ok {
-		if pruner, residual := splitPartitionPrune(scan, f.Cond); pruner != nil {
-			prev := ex.sideCtrls[scan]
-			in, err := ex.buildScan(scan, pruner)
-			if err != nil {
-				return nil, err
-			}
-			if residual == nil {
-				return in, nil
-			}
-			// Within surviving partitions the partition column is constant
-			// and the peeled conjuncts hold, so the residual alone decides
-			// survivor sets; pruned rows would have been charged at the scan
-			// emit and the filter input (factor 2).
-			ex.configureScanSkip(scan, prev, expr.Conjuncts(residual), 2)
-			return ex.newFilterIter(in, residual, layoutOf(scan))
-		}
-	}
-	var prev *scanCtrlReg
-	scan, isScan := f.Input.(*logical.Scan)
-	if isScan {
-		prev = ex.sideCtrls[scan]
-	}
-	in, err := ex.build(f.Input)
-	if err != nil {
-		return nil, err
-	}
-	if isScan {
-		ex.configureScanSkip(scan, prev, expr.Conjuncts(f.Cond), 2)
-	}
-	return ex.newFilterIter(in, f.Cond, layoutOf(f.Input))
-}
-
-// splitPartitionPrune peels the conjuncts of cond that reference only the
-// scan's partition column into a storage.Pruner, returning the pruner and
-// the residual predicate (nil when every conjunct pruned). A nil pruner
-// means nothing peeled — the caller filters the unpruned scan with cond.
-// Both the pull filter and the push-pipeline compiler route through this
-// helper, so the two execution models scan exactly the same partitions.
-func splitPartitionPrune(scan *logical.Scan, cond expr.Expr) (storage.Pruner, expr.Expr) {
-	pruner, _, _, residual := splitPartitionPruneCond(scan, cond)
-	return pruner, residual
-}
-
-// splitPartitionPruneCond is splitPartitionPrune exposing the peeled prune
-// predicate and the partition column it ranges over, for layers that
-// fingerprint pruning work (the chain-shape cache) rather than execute it.
+// splitPartitionPruneCond peels the conjuncts of cond that reference only
+// the scan's partition column into a storage.Pruner (the engine's analogue
+// of Athena skipping S3 prefixes). It returns the pruner, the peeled prune
+// predicate and the partition column it ranges over (for layers that
+// fingerprint pruning work, like the chain-shape cache), and the residual
+// predicate (nil when every conjunct pruned). A nil pruner means nothing
+// peeled: the caller filters the unpruned scan with cond.
 func splitPartitionPruneCond(scan *logical.Scan, cond expr.Expr) (storage.Pruner, expr.Expr, *expr.Column, expr.Expr) {
 	if scan.Table.PartitionColumn == "" {
 		return nil, nil, nil, cond
@@ -93,22 +48,9 @@ func splitPartitionPruneCond(scan *logical.Scan, cond expr.Expr) (storage.Pruner
 	return pruner, pruneCond, partCol, expr.And(residual...)
 }
 
-// newFilterIter compiles a filter predicate as a single-mask set: on the
-// default engine that is a one-mask family — flattened conjuncts evaluated
-// progressively over shrinking survivors, with bitmap intermediates.
-func (ex *executor) newFilterIter(in BatchIterator, cond expr.Expr, layout map[expr.ColumnID]int) (BatchIterator, error) {
-	mask, err := newMaskSetSpec([]expr.Expr{cond}, layout, ex.opts.NaiveMasks).instantiate()
-	if err != nil {
-		return nil, err
-	}
-	return &filterIter{in: in, mask: mask, m: ex.metrics}, nil
-}
-
 // scanSource resolves a scan leaf's partitions and assembles what decoding
 // them needs: the scan-share cache when sharing is on, and the leaf's
-// freshly registered skip controller. Shared by the pull scan builder and
-// the push-pipeline compiler so both charge the same BytesScanned and decode
-// accounting.
+// freshly registered skip controller.
 func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storage.Partition, *morselSource, error) {
 	parts, err := ex.store.ScanPartitions(s.Table.Name, s.ColNames, prune, &ex.metrics.Storage)
 	if err != nil {
@@ -116,31 +58,15 @@ func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storag
 	}
 	src := &morselSource{cols: s.ColNames, batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool, share: ex.share}
 	if !ex.opts.NoSkip {
-		// Register a skip controller for this leaf; the filter, chain
-		// compiler, or a hash join above will configure it with predicates.
+		// Register a skip controller for this leaf; the chain's own filter
+		// or a hash join above will configure it with predicates.
 		src.ctrl = &skipController{m: ex.metrics, cols: s.ColNames, rcDepth: ex.rcDepth}
 		ex.registerScanCtrl(s, src.ctrl)
 	}
 	return parts, src, nil
 }
 
-func (ex *executor) buildScan(s *logical.Scan, prune storage.Pruner) (BatchIterator, error) {
-	parts, src, err := ex.scanSource(s, prune)
-	if err != nil {
-		return nil, err
-	}
-	if ex.opts.Parallelism > 1 {
-		morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
-		if len(morsels) > 1 {
-			it := newParallelScan(src, morsels, ex.opts.Parallelism)
-			ex.onClose(it.run.close)
-			return it, nil
-		}
-	}
-	return &scanIter{src: src, parts: parts}, nil
-}
-
-// decodePartition is the single decode entry point for both scan leaves:
+// decodePartition is the single decode entry point for both scan drives:
 // through the scan-share cache when sharing is on, directly otherwise.
 // Physical decode accounting (Metrics.Share) is charged either way, so
 // shared-vs-unshared BytesDecoded comparisons are meaningful.
@@ -211,69 +137,6 @@ func (it *scanIter) NextBatch() (*vec.Batch, error) {
 		src.m.addProcessed(int64(n))
 		return vec.NewDense(cols, n), nil
 	}
-}
-
-// filterIter qualifies rows by building a selection vector over its input
-// batches — survivors are never materialized here, only marked.
-type filterIter struct {
-	in   BatchIterator
-	mask *maskSet
-	m    *Metrics
-}
-
-func (it *filterIter) NextBatch() (*vec.Batch, error) {
-	for {
-		b, err := it.in.NextBatch()
-		if b == nil || err != nil {
-			return nil, err
-		}
-		it.m.addProcessed(int64(b.Len()))
-		if out := narrow(b, it.mask.eval(b)[0]); out != nil {
-			return out, nil
-		}
-	}
-}
-
-func (ex *executor) buildProject(p *logical.Project) (BatchIterator, error) {
-	in, err := ex.build(p.Input)
-	if err != nil {
-		return nil, err
-	}
-	layout := layoutOf(p.Input)
-	evs := make([]batchFn, len(p.Cols))
-	for i, a := range p.Cols {
-		fn, err := compileBatchExpr(a.E, layout)
-		if err != nil {
-			return nil, err
-		}
-		evs[i] = fn
-	}
-	return &projectIter{in: in, evs: evs, m: ex.metrics}, nil
-}
-
-// projectIter evaluates each output expression vector-wise over the active
-// rows, producing a dense batch (projection is the materialization point
-// where upstream selections compact away).
-type projectIter struct {
-	in  BatchIterator
-	evs []batchFn
-	m   *Metrics
-}
-
-func (it *projectIter) NextBatch() (*vec.Batch, error) {
-	b, err := it.in.NextBatch()
-	if b == nil || err != nil {
-		return nil, err
-	}
-	n := b.Len()
-	it.m.addProcessed(int64(n))
-	cols := make([][]types.Value, len(it.evs))
-	for i, fn := range it.evs {
-		out := make([]types.Value, n)
-		fn(b, out)
-		cols[i] = out
-	}
-	return vec.NewDense(cols, n), nil
 }
 
 type valuesIter struct {

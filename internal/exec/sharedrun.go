@@ -149,8 +149,8 @@ func AnalyzeChain(root logical.Operator, store *storage.Store) (*ChainShape, boo
 // charge, given survivors rows passing its filter: the scan charges its
 // full output, every stage up to and including the filter charges the scan
 // cardinality, and every stage above the filter charges the survivors.
-// This matches the pull and push engines exactly (they charge identically
-// on totally-consumed chains).
+// This matches the serial and morsel-parallel chain drives exactly (they
+// charge identically on totally-consumed chains).
 func (sh *ChainShape) SoloRowsProcessed(survivors int64) int64 {
 	n := sh.PrunedRows
 	total := n // scan output charge

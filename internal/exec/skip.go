@@ -23,17 +23,16 @@ import (
 // ScanPartitions (unchanged), and RowsProcessed is re-charged exactly
 // as-if-scanned — NumRows times the charge schedule the partition's rows
 // would have walked (scan emit plus every stage at or below the filter
-// that kills them). The recharge is applied at the consumer-side stream
-// position the partition's batches would have occupied, which keeps LIMIT
-// early-exit byte-identical too: a zero-survivor partition's batches are
-// consumed atomically by the filter's hunt loop in a no-skip run, so the
-// consumer reaches the partition's position exactly when it would have
-// paid for it.
+// that kills them). Under LIMIT the serial scan applies the recharge at
+// the consumer-side stream position the partition's batches would have
+// occupied, which keeps early exit byte-identical too: a zero-survivor
+// partition's batches are consumed atomically by chainIter's loop in a
+// no-skip run, so the consumer reaches the partition's position exactly
+// when it would have paid for it. Morsel-parallel chains drain totally and
+// recharge worker-side.
 
 // SkipMetrics counts data-skipping activity for one run. Counters are
-// informational (the logical metrics above are recharged exactly); under
-// LIMIT, scan workers running ahead of the consumer may count prunes the
-// truncated no-skip run would never have reached.
+// informational: the logical metrics above are recharged exactly.
 type SkipMetrics struct {
 	// ChunksPruned counts column chunks whose decode was skipped;
 	// PartitionsPruned the partitions they belong to.
@@ -62,17 +61,17 @@ type skipCheck struct {
 
 // skipController carries a scan leaf's prune state. One controller exists
 // per built scan leaf (nil under Options.NoSkip); its checks are filled in
-// by whichever layer knows the predicate — the pull filter directly above
-// the scan, the push chain compiler, or a hash join attaching sideways
-// filters — together with the matching RowsProcessed recharge factor.
+// by whichever layer knows the predicate — the chain's own filter stage, or
+// a hash join attaching sideways filters — together with the matching
+// RowsProcessed recharge factor.
 type skipController struct {
 	m    *Metrics
 	cols []string
 	// rcDepth is the result-cache capture depth the scan was built at.
-	// Layers outside the captured subtree (a filter above a captured bare
-	// scan, a join build) must not configure checks on it: pruning driven
-	// by a predicate that is not part of the cached sub-plan would corrupt
-	// the entry other queries replay.
+	// Layers outside the captured subtree (a join build above a captured
+	// probe) must not configure checks on it: pruning driven by a predicate
+	// that is not part of the cached sub-plan would corrupt the entry other
+	// queries replay.
 	rcDepth int
 	// factor is the as-if-scanned RowsProcessed charge per pruned row:
 	// FilterPos+2 for predicate checks (scan emit + stages up to and
@@ -159,12 +158,11 @@ func (sc *skipController) recharge(rows int64) {
 }
 
 // registerScanCtrl records the controller created for a scan leaf so later
-// build stages (the pull filter above it, a joining hash build) can find
-// it. Every registration allocates a fresh record: configuring layers
-// snapshot the record before building a subtree and only act when the
-// pointer changed, so a result-cache replay (which builds no scan) can
-// never hand them a stale controller belonging to an earlier build of the
-// same node. Building the same node twice also marks the record as a
+// build stages (a joining hash build) can find it. Every registration
+// allocates a fresh record: attachSideways snapshots the record before
+// building the probe subtree and only acts when the pointer changed, so a
+// result-cache replay (which builds no scan) can never hand it a stale
+// controller belonging to an earlier build of the same node. Building the same node twice also marks the record as a
 // duplicate, which blocks sideways attachment (ambiguous ownership).
 func (ex *executor) registerScanCtrl(s *logical.Scan, ctrl *skipController) {
 	if ex.sideCtrls == nil {
@@ -188,24 +186,6 @@ func (ex *executor) lookupScanCtrl(s *logical.Scan) (*skipController, bool) {
 type scanCtrlReg struct {
 	ctrl *skipController
 	dup  bool
-}
-
-// configureScanSkip compiles zone-map checks for a scan leaf from the
-// filter conjuncts directly above it — plus any fused shared-prefix
-// conjuncts RunShared resolved for the leaf — and installs them at the
-// given as-if-scanned recharge factor. prev is the leaf's registration
-// record snapshotted before the subtree build: an unchanged record means
-// the build did not reach the scan (result-cache replay), and a depth
-// mismatch means the scan was captured into a cache entry the configuring
-// filter is not part of; both cases leave pruning off.
-func (ex *executor) configureScanSkip(s *logical.Scan, prev *scanCtrlReg, conjuncts []expr.Expr, factor int64) {
-	reg := ex.sideCtrls[s]
-	if reg == nil || reg == prev || reg.ctrl.rcDepth != ex.rcDepth {
-		return
-	}
-	checks := compileSkipChecks(conjuncts, scanAliasMap(s))
-	checks = append(checks, ex.extraSkip[s]...)
-	reg.ctrl.configure(factor, checks)
 }
 
 // configureChainSkip installs zone checks for a fused chain's scan from the
@@ -244,7 +224,7 @@ func (ex *executor) configureChainSkip(cs *chainSpec) {
 // chain's filter stage. Requiring exactly one filter stage pins *where*:
 // zero survivors at that stage, which is what the chain's recharge factor
 // assumes. The checks join whatever the chain's own filter contributes via
-// configureChainSkip / configureScanSkip.
+// configureChainSkip.
 func (ex *executor) feedPrefixSkip(plan logical.Operator, prefix []expr.Expr) {
 	cs, ok := compileChain(plan)
 	if !ok {
@@ -434,7 +414,7 @@ func cmpPrunable(st *storage.ChunkStats, count int, op expr.BinOp, lit types.Val
 		return false // no usable bounds: must decode
 	}
 	for c := lo; c <= hi; c++ {
-		if compareSatisfies(op, c) {
+		if expr.CompareHolds(op, c) {
 			return false
 		}
 	}

@@ -76,14 +76,12 @@ func skipFixture(t *testing.T, dimKeys []int64) *storage.Store {
 	return st
 }
 
-// skipConfigs are the execution paths a prune decision can ride: pull and
-// push, serial and morsel-parallel.
+// skipConfigs are the execution paths a prune decision can ride: serial
+// and morsel-parallel.
 func skipConfigs() map[string]Options {
 	return map[string]Options{
-		"pull-serial":   {PullExec: true, Parallelism: 1},
-		"pull-parallel": {PullExec: true, Parallelism: 4},
-		"push-serial":   {Parallelism: 1},
-		"push-parallel": {Parallelism: 4},
+		"serial":   {Parallelism: 1},
+		"parallel": {Parallelism: 4},
 	}
 }
 
@@ -239,8 +237,7 @@ func TestSkipLimitEarlyExit(t *testing.T) {
 		N:     5,
 	}
 	// LIMIT truncates the pull mid-stream; the consumer-side recharge must
-	// keep RowsProcessed identical to a truncated no-skip run. Skip
-	// counters may legitimately run ahead of the truncation, so only the
+	// keep RowsProcessed identical to a truncated no-skip run. Only the
 	// logical metrics and rows are compared here.
 	for name, opts := range skipConfigs() {
 		base := opts
@@ -284,32 +281,33 @@ func TestSkipChainConsumers(t *testing.T) {
 	// same prunable chain, at a batch size small enough that the fixture cuts
 	// into one morsel per partition, so the parallel forms run instead of
 	// their one-morsel serial fallback. All pruned-partition recharges are
-	// worker-side there; each consumer must still agree with its pull twin.
+	// worker-side there; each consumer must still agree with the serial run,
+	// whose recharges land in its consumer's pull.
 	s3 := scanOf(t, st, "fact")
 	chain := logical.NewFilter(s3, expr.NewBinary(expr.OpGe, expr.Ref(s3.ColumnFor("f_v")), expr.Lit(types.Int(300))))
-	push := Options{Parallelism: 4, BatchSize: 8}
-	pull := Options{Parallelism: 4, BatchSize: 8, PullExec: true}
+	parallel := Options{Parallelism: 4, BatchSize: 8}
+	serial := Options{Parallelism: 1, BatchSize: 8}
 	var batches []int64
 	for name, plan := range map[string]logical.Operator{"chain": chain, "scalar-agg": agg, "sort": srt} {
-		got, err := RunWith(plan, st, push)
+		got, err := RunWith(plan, st, parallel)
 		if err != nil {
-			t.Fatalf("%s: push run: %v", name, err)
+			t.Fatalf("%s: parallel run: %v", name, err)
 		}
-		ref, err := RunWith(plan, st, pull)
+		ref, err := RunWith(plan, st, serial)
 		if err != nil {
-			t.Fatalf("%s: pull run: %v", name, err)
+			t.Fatalf("%s: serial run: %v", name, err)
 		}
 		if rowsKey(got.Rows) != rowsKey(ref.Rows) {
-			t.Fatalf("%s: rows diverge from the pull twin (%d vs %d rows)", name, len(got.Rows), len(ref.Rows))
+			t.Fatalf("%s: rows diverge from the serial run (%d vs %d rows)", name, len(got.Rows), len(ref.Rows))
 		}
 		if got.Metrics.RowsProcessed != ref.Metrics.RowsProcessed {
-			t.Fatalf("%s: RowsProcessed = %d, pull twin %d", name, got.Metrics.RowsProcessed, ref.Metrics.RowsProcessed)
+			t.Fatalf("%s: RowsProcessed = %d, serial %d", name, got.Metrics.RowsProcessed, ref.Metrics.RowsProcessed)
 		}
 		if p := got.Metrics.Skip.PartitionsPruned; p != 3 || p != ref.Metrics.Skip.PartitionsPruned {
-			t.Fatalf("%s: PartitionsPruned = %d, pull twin %d, want 3", name, p, ref.Metrics.Skip.PartitionsPruned)
+			t.Fatalf("%s: PartitionsPruned = %d, serial %d, want 3", name, p, ref.Metrics.Skip.PartitionsPruned)
 		}
-		if got.Metrics.Pipeline.FusedPipelines != 1 || ref.Metrics.Pipeline.FusedPipelines != 0 {
-			t.Fatalf("%s: FusedPipelines = %d (pull twin %d)", name,
+		if got.Metrics.Pipeline.FusedPipelines != 1 || ref.Metrics.Pipeline.FusedPipelines != 1 {
+			t.Fatalf("%s: FusedPipelines = %d (serial %d), want 1", name,
 				got.Metrics.Pipeline.FusedPipelines, ref.Metrics.Pipeline.FusedPipelines)
 		}
 		batches = append(batches, got.Metrics.Pipeline.PipelineBatches)

@@ -123,24 +123,40 @@ func evalBinary(x *Binary, env Env) types.Value {
 		return types.NullOf(x.Type())
 	}
 	if x.Op.IsComparison() {
-		c := types.Compare(l, r)
-		switch x.Op {
-		case OpEq:
-			return types.Bool(c == 0)
-		case OpNe:
-			return types.Bool(c != 0)
-		case OpLt:
-			return types.Bool(c < 0)
-		case OpLe:
-			return types.Bool(c <= 0)
-		case OpGt:
-			return types.Bool(c > 0)
-		default:
-			return types.Bool(c >= 0)
-		}
+		return types.Bool(CompareHolds(x.Op, types.Compare(l, r)))
 	}
-	// Arithmetic.
-	if x.Op == OpDiv {
+	return Arith(x.Op, x.Type(), l, r)
+}
+
+// CompareHolds reports whether comparison op holds for c, the sign of
+// types.Compare(l, r). Every evaluator, and the zone-map pruner, decides
+// comparison truth here.
+func CompareHolds(op BinOp, c int) bool {
+	switch op {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}
+
+// Arith applies arithmetic op to l and r with SQL semantics: a NULL
+// operand yields a NULL of kind (the expression's result type), division
+// is always float and NULL for a zero divisor, and a float operand makes
+// the result float. Every evaluator computes scalar arithmetic here.
+func Arith(op BinOp, kind types.Kind, l, r types.Value) types.Value {
+	if l.Null || r.Null {
+		return types.NullOf(kind)
+	}
+	if op == OpDiv {
 		rf := r.AsFloat()
 		if rf == 0 {
 			return types.NullOf(types.KindFloat64)
@@ -149,7 +165,7 @@ func evalBinary(x *Binary, env Env) types.Value {
 	}
 	if l.Kind == types.KindFloat64 || r.Kind == types.KindFloat64 {
 		lf, rf := l.AsFloat(), r.AsFloat()
-		switch x.Op {
+		switch op {
 		case OpAdd:
 			return types.Float(lf + rf)
 		case OpSub:
@@ -158,7 +174,7 @@ func evalBinary(x *Binary, env Env) types.Value {
 			return types.Float(lf * rf)
 		}
 	}
-	switch x.Op {
+	switch op {
 	case OpAdd:
 		return types.Int(l.I + r.I)
 	case OpSub:

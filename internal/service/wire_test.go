@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,41 @@ import (
 	"repro/engine"
 	"repro/internal/types"
 )
+
+// TestIllTypedComparisonKeepsServing sends comparisons types.Compare cannot
+// order: the binder must reject each as an ordinary error instead of
+// letting the first row that reaches the comparison panic the server, and
+// the same connection must keep serving.
+func TestIllTypedComparisonKeepsServing(t *testing.T) {
+	eng := engine.OpenWithStore(testStore(t), engine.Config{})
+	defer eng.Close()
+	ns := NewNetServer(New(eng, Config{}))
+	if err := ns.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Shutdown(context.Background())
+	cl, err := Dial(ns.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	for _, q := range []string{
+		"SELECT f_k1 FROM fact WHERE 1 = 'a'",
+		"SELECT f_k1 FROM fact WHERE f_k1 = 'a'",
+		"SELECT f_k1 FROM fact WHERE f_k1 < 'a'",
+		"SELECT f_k1 FROM fact WHERE f_k1 IN ('a', 'b')",
+		"SELECT f_k1 FROM fact WHERE f_k1 IN (SELECT d_name FROM dim)",
+	} {
+		if _, err := cl.Query(ctx, q); err == nil || !strings.Contains(err.Error(), "binder:") {
+			t.Errorf("%s: err = %v, want a binder error", q, err)
+		}
+	}
+	res, err := cl.Query(ctx, "SELECT COUNT(*) FROM fact WHERE f_k1 = 1")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("valid query after rejected ones: %v", err)
+	}
+}
 
 func TestWireValueRoundTrip(t *testing.T) {
 	cases := []types.Value{
