@@ -310,39 +310,16 @@ func (ex *executor) buildGroupBy(g *logical.GroupBy) (BatchIterator, error) {
 		}
 		keyIdx[i] = idx
 	}
-	scalar := len(g.Keys) == 0
-	spec := newAggInputSpec(g.Aggs, layout, ex.opts.NaiveMasks)
 	// Keyed aggregations partition across the worker pool: every group lives
 	// entirely in the shard its key hashes to, so shards need no
-	// coordination and the merged output is byte-identical to the serial
-	// order. Scalar aggregation stays serial — one group means one float
+	// coordination and the merged output is byte-identical to one shard's.
+	// Scalar aggregation here runs one shard — one group means one float
 	// accumulation order, which parallel partial sums would change.
-	spillDir := ex.mempool.SpillDir()
-	if !scalar && ex.opts.Parallelism > 1 {
-		accs := make([]*groupAccumulator, ex.opts.Parallelism)
-		for p := range accs {
-			if accs[p], err = newGroupAccumulator(spec, keyIdx, ex.tracker, spillDir); err != nil {
-				return nil, err
-			}
-			ex.tracker.Register(accs[p])
-			ex.onClose(accs[p].closeSpillFiles)
-		}
-		return &parallelGroupByIter{
-			in: in, keyIdx: keyIdx, accs: accs, pool: ex.pool,
-			batchSize: ex.opts.BatchSize, m: ex.metrics,
-		}, nil
+	shards := 1
+	if len(g.Keys) > 0 {
+		shards = max(1, ex.opts.Parallelism)
 	}
-	acc, err := newGroupAccumulator(spec, keyIdx, ex.tracker, spillDir)
-	if err != nil {
-		return nil, err
-	}
-	if !scalar {
-		ex.tracker.Register(acc)
-		ex.onClose(acc.closeSpillFiles)
-	}
-	return &groupByIter{
-		in: in, acc: acc, scalar: scalar, batchSize: ex.opts.BatchSize, m: ex.metrics,
-	}, nil
+	return ex.newGroupByIter(in, newAggInputSpec(g.Aggs, layout, ex.opts.NaiveMasks), keyIdx, shards)
 }
 
 func errUnbound(c *expr.Column) error {
@@ -358,10 +335,11 @@ func (e *unboundError) Error() string {
 type group struct {
 	keyVals []types.Value
 	states  []aggState
-	// firstIdx is the global input row index of the group's first row. The
-	// serial accumulator discovers groups in ascending firstIdx order by
-	// construction; the parallel merge interleaves shards back into that
-	// exact order, which is what keeps parallel output byte-identical.
+	// firstIdx is the global input row index of the group's first row. A
+	// shard discovers its groups in ascending firstIdx order by
+	// construction; the emitter interleaves every shard's streams back into
+	// one ascending order, which is what keeps output byte-identical at
+	// every shard count.
 	firstIdx int64
 	// part is the group's spill partition (-1 until spilling activates);
 	// reserved marks that the group's bytes are charged to the tracker.
@@ -371,11 +349,10 @@ type group struct {
 
 // groupAccumulator is one hash-aggregation shard: a group table plus its own
 // aggregate input (batch evaluators own scratch buffers and must not be
-// shared across goroutines). The serial aggregation uses a single
-// accumulator over every row; the parallel aggregation gives each worker
-// one accumulator and routes rows by key hash, so a given group's rows
-// always land in the same shard in global input order — per-group
-// accumulation (including float sums) is order-identical to serial.
+// shared across goroutines). groupByIter routes rows to its shards by key
+// hash, so a given group's rows always land in the same shard in global
+// input order — per-group accumulation (including float sums) is
+// order-identical at every shard count.
 type groupAccumulator struct {
 	*aggInput
 	keyIdx []int
@@ -676,18 +653,47 @@ func (ga *groupAccumulator) writeSpilledRows(b *vec.Batch, base int64, log []int
 	return nil
 }
 
-// groupByIter is a blocking hash aggregation with per-aggregate masks
-// (§III.E), run serially through a single accumulator. Group keys are
-// compared SQL-DISTINCT-style: NULLs group together.
+// groupByIter is the blocking hash aggregation with per-aggregate masks
+// (§III.E). Group keys are compared SQL-DISTINCT-style: NULLs group
+// together. Its input drains through drainShards into one accumulator per
+// shard: shard p accumulates exactly the rows whose key hash maps to p, in
+// input order. Because a group's rows all carry the same key hash, each
+// group is built by exactly one shard with one shard's per-group
+// accumulation order; the emitter interleaves every shard's streams by
+// first-occurrence index, reproducing one shard's output bytes — whether or
+// not any shard spilled.
 type groupByIter struct {
 	in        BatchIterator
-	acc       *groupAccumulator
-	scalar    bool
+	keyIdx    []int
+	accs      []*groupAccumulator
+	pool      *WorkerPool
 	batchSize int
 	m         *Metrics
 
 	built   bool
 	emitter *groupEmitter
+}
+
+// newGroupByIter builds the aggregation of in with one accumulator per
+// shard; keyed accumulators register with the memory tracker as spill
+// victims and remove their spill files when the run closes.
+func (ex *executor) newGroupByIter(in BatchIterator, spec *aggInputSpec, keyIdx []int, shards int) (BatchIterator, error) {
+	accs := make([]*groupAccumulator, shards)
+	for p := range accs {
+		acc, err := newGroupAccumulator(spec, keyIdx, ex.tracker, ex.mempool.SpillDir())
+		if err != nil {
+			return nil, err
+		}
+		if len(keyIdx) > 0 {
+			ex.tracker.Register(acc)
+			ex.onClose(acc.closeSpillFiles)
+		}
+		accs[p] = acc
+	}
+	return &groupByIter{
+		in: in, keyIdx: keyIdx, accs: accs, pool: ex.pool,
+		batchSize: ex.opts.BatchSize, m: ex.metrics,
+	}, nil
 }
 
 func (it *groupByIter) NextBatch() (*vec.Batch, error) {
@@ -700,196 +706,46 @@ func (it *groupByIter) NextBatch() (*vec.Batch, error) {
 }
 
 func (it *groupByIter) consume() error {
-	var base int64
-	for {
-		b, err := it.in.NextBatch()
-		if err != nil {
-			return err
+	prep := func(b *vec.Batch, hashes []uint64) struct{} {
+		if hashes != nil {
+			b.HashColumns(it.keyIdx, hashes)
 		}
-		if b == nil {
-			break
+		return struct{}{}
+	}
+	shard := func(p int) func(shardBatch[struct{}]) error {
+		acc := it.accs[p]
+		var phys []int
+		return func(sb shardBatch[struct{}]) error {
+			if sb.rows == nil {
+				return acc.consumeBatch(sb.b, sb.base, nil)
+			}
+			phys = phys[:0]
+			for _, i := range sb.rows {
+				phys = append(phys, sb.b.RowIdx(i))
+			}
+			return acc.consumeBatch(sb.b.WithSel(phys), sb.base, sb.rows)
 		}
-		n := b.Len()
-		if n == 0 {
-			continue
-		}
-		it.m.addProcessed(int64(n))
-		if err := it.acc.consumeBatch(b, base, nil); err != nil {
-			return err
-		}
-		base += int64(n)
+	}
+	if err := drainShards(it.in, len(it.accs), it.pool, it.m, prep, shard); err != nil {
+		return err
 	}
 	// A scalar aggregate over empty input still produces one default row
 	// (uncounted in HashRows, matching the row engine).
-	if it.scalar && len(it.acc.order) == 0 {
-		it.acc.order = append(it.acc.order, &group{states: make([]aggState, len(it.acc.aggs.aggs)), part: -1})
-	}
-	// Unregister before finish: replay reservations must never route a
-	// spill back into this accumulator's lock.
-	it.acc.tracker.Unregister(it.acc)
-	stream, err := it.acc.finish()
-	if err != nil {
-		return err
-	}
-	it.m.addHashRows(it.acc.groupsCreated)
-	it.m.addMaskPrefixHits(it.acc.masks.hits())
-	it.emitter = &groupEmitter{
-		streams:   []groupStream{stream},
-		width:     len(it.acc.keyIdx) + len(it.acc.aggs.aggs),
-		batchSize: it.batchSize,
-	}
-	it.built = true
-	return nil
-}
-
-// parallelGroupByIter is the partition-wise parallel aggregation: a reader
-// pulls input batches in order, hashes each row's group key with the vec
-// kernel, and broadcasts the batch to one worker per shard. Worker p
-// accumulates exactly the rows whose key hash maps to shard p, in global
-// input order, into its own accumulator. Because a group's rows all carry
-// the same key hash, each group is built by exactly one shard with the same
-// per-group accumulation order as the serial path; the final merge
-// interleaves shard streams by first-occurrence index, reproducing serial
-// output bytes — whether or not any shard spilled.
-type parallelGroupByIter struct {
-	in        BatchIterator
-	keyIdx    []int
-	accs      []*groupAccumulator
-	pool      *workerPool
-	batchSize int
-	m         *Metrics
-
-	built   bool
-	emitter *groupEmitter
-
-	errMu    sync.Mutex
-	firstErr error
-}
-
-func (it *parallelGroupByIter) setErr(err error) {
-	it.errMu.Lock()
-	if it.firstErr == nil {
-		it.firstErr = err
-	}
-	it.errMu.Unlock()
-}
-
-func (it *parallelGroupByIter) getErr() error {
-	it.errMu.Lock()
-	defer it.errMu.Unlock()
-	return it.firstErr
-}
-
-// aggTask is one input batch broadcast to every shard worker. hashes[i] is
-// the group-key hash of the batch's i-th active row; base is the global
-// input row index of the batch's first active row.
-type aggTask struct {
-	b      *vec.Batch
-	hashes []uint64
-	base   int64
-}
-
-func (it *parallelGroupByIter) NextBatch() (*vec.Batch, error) {
-	if !it.built {
-		if err := it.consume(); err != nil {
-			return nil, err
-		}
-	}
-	return it.emitter.NextBatch()
-}
-
-func (it *parallelGroupByIter) consume() error {
-	shards := len(it.accs)
-	chans := make([]chan aggTask, shards)
-	var wg sync.WaitGroup
-	for p := 0; p < shards; p++ {
-		chans[p] = make(chan aggTask, 2)
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			acc := it.accs[p]
-			var log, phys []int
-			for task := range chans[p] {
-				// After a shard error, keep draining the channel without
-				// processing so the producer never blocks.
-				if it.getErr() != nil {
-					continue
-				}
-				// CPU work runs under a shared pool slot; the slot is never
-				// held while waiting on the channel, so stacked parallel
-				// operators cannot starve each other into deadlock.
-				it.pool.acquire()
-				n := task.b.Len()
-				log, phys = log[:0], phys[:0]
-				for i := 0; i < n; i++ {
-					if int(task.hashes[i]%uint64(shards)) == p {
-						log = append(log, i)
-						phys = append(phys, task.b.RowIdx(i))
-					}
-				}
-				if len(log) > 0 {
-					if err := acc.consumeBatch(task.b.WithSel(phys), task.base, log); err != nil {
-						it.setErr(err)
-					}
-				}
-				it.pool.release()
-			}
-		}(p)
-	}
-	var base int64
-	var readErr error
-	for {
-		if err := it.getErr(); err != nil {
-			break
-		}
-		b, err := it.in.NextBatch()
-		if err != nil {
-			readErr = err
-			break
-		}
-		if b == nil {
-			break
-		}
-		n := b.Len()
-		if n == 0 {
-			continue
-		}
-		it.m.addProcessed(int64(n))
-		hashes := make([]uint64, n)
-		b.HashColumns(it.keyIdx, hashes)
-		task := aggTask{b: b, hashes: hashes, base: base}
-		base += int64(n)
-		for p := range chans {
-			chans[p] <- task
-		}
-	}
-	for p := range chans {
-		close(chans[p])
-	}
-	wg.Wait()
-	if readErr != nil {
-		return readErr
-	}
-	if err := it.getErr(); err != nil {
-		return err
+	if acc := it.accs[0]; len(it.keyIdx) == 0 && len(acc.order) == 0 {
+		acc.order = append(acc.order, &group{states: make([]aggState, len(acc.aggs.aggs)), part: -1})
 	}
 	// Unregister every shard before any finishes: one shard's replay
 	// reservations may spill another, but never a sealed one.
+	anySpill := false
 	for _, acc := range it.accs {
 		acc.tracker.Unregister(acc)
 		acc.seal()
+		anySpill = anySpill || acc.spilledAny()
 	}
 	// If any shard spilled, flush every shard's resident groups to emit
 	// runs before the first replay: unregistered shards can no longer be
 	// spilled by the pool, so their frozen resident bytes would otherwise
 	// squeeze the replay reservations out of the budget.
-	anySpill := false
-	for _, acc := range it.accs {
-		if acc.spilledAny() {
-			anySpill = true
-			break
-		}
-	}
 	if anySpill {
 		for _, acc := range it.accs {
 			if err := acc.flushResident(); err != nil {
@@ -897,18 +753,14 @@ func (it *parallelGroupByIter) consume() error {
 			}
 		}
 	}
-	streams := make([]groupStream, len(it.accs))
-	var total int64
-	for p, acc := range it.accs {
-		stream, err := acc.finish()
+	var streams []groupStream
+	for _, acc := range it.accs {
+		ss, err := acc.finish()
 		if err != nil {
 			return err
 		}
-		streams[p] = stream
-		total += acc.groupsCreated
-	}
-	it.m.addHashRows(total)
-	for _, acc := range it.accs {
+		streams = append(streams, ss...)
+		it.m.addHashRows(acc.groupsCreated)
 		it.m.addMaskPrefixHits(acc.masks.hits())
 	}
 	it.emitter = &groupEmitter{

@@ -217,10 +217,6 @@ func (ga *groupAccumulator) seal() {
 func (ga *groupAccumulator) spilledAny() bool {
 	ga.mu.Lock()
 	defer ga.mu.Unlock()
-	return ga.anySpilledLocked()
-}
-
-func (ga *groupAccumulator) anySpilledLocked() bool {
 	for p := range ga.parts {
 		if ga.parts[p].spilled {
 			return true
@@ -230,9 +226,9 @@ func (ga *groupAccumulator) anySpilledLocked() bool {
 }
 
 // flushResident writes the resident groups to an emit run and releases
-// their budget. Used by the parallel iterator to drop every shard's
-// reservation before any shard replays: replay reserves against the pool,
-// and sibling shards' frozen resident bytes must not squeeze it out.
+// their budget. groupByIter uses it to drop every shard's reservation
+// before any shard replays: replay reserves against the pool, and sibling
+// shards' frozen resident bytes must not squeeze it out.
 func (ga *groupAccumulator) flushResident() error {
 	ga.mu.Lock()
 	defer ga.mu.Unlock()
@@ -249,29 +245,19 @@ func (ga *groupAccumulator) flushResident() error {
 	return nil
 }
 
-// finish seals the accumulator and returns its result stream. The caller
-// must have unregistered the accumulator from the pool first. When nothing
-// spilled this is a pure in-memory stream identical to the pre-spill
-// emission; otherwise resident groups are flushed to an emit run (freeing
-// their budget for replay), each spilled partition is replayed one at a
-// time, and the runs merge by firstIdx.
-func (ga *groupAccumulator) finish() (groupStream, error) {
+// finish seals the accumulator and returns its result streams, each in
+// ascending firstIdx order: the resident groups, then one stream per emit
+// run. The caller must have unregistered the accumulator from the pool
+// first, and flushed its resident groups if any shard spilled (freeing
+// their budget for replay). Each spilled partition is replayed one at a
+// time into an emit run.
+func (ga *groupAccumulator) finish() ([]groupStream, error) {
 	ga.mu.Lock()
 	defer ga.mu.Unlock()
 	ga.sealed = true
-	if !ga.anySpilledLocked() && len(ga.runs) == 0 {
-		return &memGroupStream{ga: ga, groups: ga.order, keyWidth: len(ga.keyIdx), aggs: ga.aggs.aggs}, nil
-	}
-
-	emitW := 1 + len(ga.keyIdx) + len(ga.aggs.aggs)
+	var streams []groupStream
 	if len(ga.order) > 0 {
-		f, err := ga.writeEmitRun(ga.order)
-		if err != nil {
-			return nil, err
-		}
-		ga.runs = append(ga.runs, f)
-		ga.order = nil
-		ga.groups = make(map[string]*group)
+		streams = append(streams, &memGroupStream{ga: ga, groups: ga.order, keyWidth: len(ga.keyIdx), aggs: ga.aggs.aggs})
 	}
 	for p := range ga.parts {
 		pt := &ga.parts[p]
@@ -293,7 +279,11 @@ func (ga *groupAccumulator) finish() (groupStream, error) {
 		pt.rowsF.Close()
 		pt.rowsF = nil
 	}
-	return newRunMergeStream(ga.runs, emitW)
+	emitW := 1 + len(ga.keyIdx) + len(ga.aggs.aggs)
+	for _, f := range ga.runs {
+		streams = append(streams, &emitRunStream{f: f, rd: f.NewReader(), rec: make([]types.Value, emitW)})
+	}
+	return streams, nil
 }
 
 // writeEmitRun renders groups (already in ascending firstIdx order) into
@@ -636,69 +626,28 @@ func (s *memGroupStream) next(dst Row) (int64, bool, error) {
 	return g.firstIdx, true, nil
 }
 
-// emitRunCursor walks one emit-run file; the file is removed as soon as
-// the cursor exhausts it.
-type emitRunCursor struct {
-	f    *storage.SpillFile
-	rd   *storage.SpillReader
-	rec  []types.Value
-	done bool
+// emitRunStream streams one emit-run file; the file is removed as soon as
+// the stream exhausts it.
+type emitRunStream struct {
+	f   *storage.SpillFile
+	rd  *storage.SpillReader
+	rec []types.Value
 }
 
-func (c *emitRunCursor) advance() error {
-	ok, err := c.rd.Next(c.rec)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		c.done = true
-		c.f.Close()
-	}
-	return nil
-}
-
-// runMergeStream merges emit runs by firstIdx; indices are globally unique
-// (one per input row), so the merge order is total.
-type runMergeStream struct {
-	cursors []*emitRunCursor
-}
-
-func newRunMergeStream(runs []*storage.SpillFile, width int) (*runMergeStream, error) {
-	s := &runMergeStream{cursors: make([]*emitRunCursor, 0, len(runs))}
-	for _, f := range runs {
-		c := &emitRunCursor{f: f, rd: f.NewReader(), rec: make([]types.Value, width)}
-		if err := c.advance(); err != nil {
-			return nil, err
-		}
-		s.cursors = append(s.cursors, c)
-	}
-	return s, nil
-}
-
-func (s *runMergeStream) next(dst Row) (int64, bool, error) {
-	var best *emitRunCursor
-	for _, c := range s.cursors {
-		if c.done {
-			continue
-		}
-		if best == nil || c.rec[0].I < best.rec[0].I {
-			best = c
-		}
-	}
-	if best == nil {
-		return 0, false, nil
-	}
-	idx := best.rec[0].I
-	copy(dst, best.rec[1:])
-	if err := best.advance(); err != nil {
+func (s *emitRunStream) next(dst Row) (int64, bool, error) {
+	ok, err := s.rd.Next(s.rec)
+	if err != nil || !ok {
+		s.f.Close()
 		return 0, false, err
 	}
-	return idx, true, nil
+	copy(dst, s.rec[1:])
+	return s.rec[0].I, true, nil
 }
 
-// groupEmitter renders one or more groupStreams (one per shard) into
-// output batches, merging across streams by firstIdx — the same global
-// first-seen order the serial accumulator emits natively.
+// groupEmitter renders every shard's groupStreams (resident groups and emit
+// runs alike) into output batches, merging across streams by firstIdx —
+// indices are globally unique (one per input row), so the merge order is
+// total and equals the first-seen order of a single shard.
 type groupEmitter struct {
 	streams   []groupStream
 	width     int

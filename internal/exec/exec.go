@@ -305,7 +305,7 @@ func newExecutor(store *storage.Store, opts Options) *executor {
 	}
 	pool := opts.Workers
 	if pool == nil {
-		pool = newWorkerPool(opts.Parallelism)
+		pool = NewWorkerPool(opts.Parallelism)
 	}
 	ex := &executor{
 		store:   store,
@@ -339,7 +339,7 @@ type executor struct {
 	store   *storage.Store
 	metrics *Metrics
 	opts    Options
-	pool    *workerPool
+	pool    *WorkerPool
 	spools  map[int]*spoolState
 	// share is the store's decoded-chunk cache, nil when Options.ShareScans
 	// is off.
@@ -490,30 +490,8 @@ func (ex *executor) build(op logical.Operator) (BatchIterator, error) {
 	}
 }
 
-// drainRows pulls every batch of in, materializing rows and charging
-// RowsProcessed once per batch. Blocking operators (sort, window, nested
-// loop build) use it to buffer their input.
-func drainRows(in BatchIterator, width int, m *Metrics) ([]Row, error) {
-	var rows []Row
-	for {
-		b, err := in.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return rows, nil
-		}
-		n := b.Len()
-		m.addProcessed(int64(n))
-		for i := 0; i < n; i++ {
-			row := make(Row, width)
-			b.Gather(i, row)
-			rows = append(rows, row)
-		}
-	}
-}
-
-// drainRowsTracked is drainRows with memctl accounting: each batch's
+// drainRowsTracked pulls every batch of in, materializing rows and charging
+// RowsProcessed once per batch, with memctl accounting: each batch's
 // estimated resident bytes are reserved under op before the rows are kept.
 // The caller owns releasing the reservation (typically on operator EOF or
 // via ex.onClose). Buffered rows here are not spillable — a reservation

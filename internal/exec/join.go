@@ -1,9 +1,9 @@
 package exec
 
 import (
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -145,13 +145,12 @@ func (ex *executor) buildJoin(j *logical.Join) (BatchIterator, error) {
 
 // hashJoinIter builds a hash table over the right input and streams the
 // left (probe) input batch-at-a-time — the engine's only buffered state,
-// matching a streaming engine's memory profile. With Parallelism > 1 the
-// build is partition-wise parallel: a reader evaluates key expressions and
-// hashes them batch-at-a-time, and one worker per partition inserts exactly
-// the rows whose key hash maps to its shard, in global input order, so each
-// bucket's row order is identical to the serial build. Probe keys are
-// evaluated vector-wise per batch; matches accumulate into an output
-// builder until a full batch is ready.
+// matching a streaming engine's memory profile. The build is one
+// hash-partitioned drive (drainShards) with one table shard per unit of
+// Parallelism: each shard holds exactly the rows whose key hash maps to it,
+// inserted in input order, and a single shard is the plain serial loop.
+// Probe keys are evaluated vector-wise per batch; matches accumulate into
+// an output builder until a full batch is ready.
 type hashJoinIter struct {
 	kind                  logical.JoinKind
 	left, right           BatchIterator
@@ -161,23 +160,21 @@ type hashJoinIter struct {
 	batchSize             int
 	m                     *Metrics
 	workers               int
-	pool                  *workerPool
+	pool                  *WorkerPool
 	// tracker accounts the build table's bytes. The table cannot spill —
 	// under a tight budget the reservation fails with ErrMemoryExceeded —
 	// but releasing it at probe EOF frees the budget for downstream
 	// blocking operators (e.g. an aggregation's spill replay).
-	tracker    *memctl.Tracker
-	reserved   int64 // atomic during parallel build, settled by wg.Wait
-	released   bool
-	buildErrMu sync.Mutex
-	buildErr   error
+	tracker  *memctl.Tracker
+	reserved int64 // atomic during the build, settled when its drain returns
+	released bool
 	// sideways are the probe-side skip filters this build feeds (nil when
 	// sideways skipping did not attach). Key summaries accumulate over
 	// inserted rows and publish when the table build completes.
 	sideways []*sidewaysFilter
 
 	built   bool
-	tables  []map[string][]Row // hash-partitioned shards; len 1 when serial
+	tables  []map[string][]Row // hash-partitioned shards, one per build shard
 	keyBuf  strings.Builder
 	keyVals []types.Value
 
@@ -200,60 +197,79 @@ func (it *hashJoinIter) outWidth() int {
 	return it.leftWidth + it.rightWidth
 }
 
+// buildTable drains the right input into max(1, workers) hash-partitioned
+// tables through drainShards. prep evaluates the key expressions (copied out
+// of the evaluators' reusable buffers only when several shards read them)
+// and hashes them; each shard inserts its rows into its own table in input
+// order, so every bucket's row order is the serial build's, reserves their
+// bytes and observes its own sideways key summaries, which merge into shard
+// 0's once the drain is done.
 func (it *hashJoinIter) buildTable() error {
+	shards := max(1, it.workers)
 	it.keyVals = make([]types.Value, len(it.rightKeys))
-	if it.workers > 1 {
-		if err := it.buildTableParallel(); err != nil {
-			return err
-		}
-		it.built = true
-		return nil
-	}
-	table := make(map[string][]Row)
-	it.tables = []map[string][]Row{table}
-	accs := it.newKeyAccums()
-	for {
-		b, err := it.right.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		n := b.Len()
-		it.m.addProcessed(int64(n))
+	it.tables = make([]map[string][]Row, shards)
+	shardAccs := make([][]*keyAccum, shards)
+	prep := func(b *vec.Batch, hashes []uint64) [][]types.Value {
 		keyCols := make([][]types.Value, len(it.rightKeys))
 		for k, ev := range it.rightKeys {
 			keyCols[k] = ev.eval(b)
-		}
-		inserted := 0
-		var batchBytes int64
-		for i := 0; i < n; i++ {
-			for k := range keyCols {
-				it.keyVals[k] = keyCols[k][i]
-			}
-			if hasNull(it.keyVals) {
-				continue // NULL keys never match in equi-joins
-			}
-			row := make(Row, it.rightWidth)
-			b.Gather(i, row)
-			k := encodeKey(&it.keyBuf, it.keyVals)
-			table[k] = append(table[k], row)
-			inserted++
-			batchBytes += rowMemBytes(row) + hashRowOverhead
-			for si, sf := range it.sideways {
-				accs[si].observe(it.keyVals[sf.keyPos])
+			if hashes != nil {
+				keyCols[k] = slices.Clone(keyCols[k])
 			}
 		}
-		it.m.addHashRows(int64(inserted))
-		if batchBytes > 0 {
+		vec.HashRows(keyCols, hashes)
+		return keyCols
+	}
+	shard := func(p int) func(shardBatch[[][]types.Value]) error {
+		table := make(map[string][]Row)
+		it.tables[p] = table
+		accs := it.newKeyAccums()
+		shardAccs[p] = accs
+		var keyBuf strings.Builder
+		kv := make([]types.Value, len(it.rightKeys))
+		return func(sb shardBatch[[][]types.Value]) error {
+			inserted := 0
+			var batchBytes int64
+			for j, n := 0, sb.count(); j < n; j++ {
+				i := sb.row(j)
+				for k, col := range sb.aux {
+					kv[k] = col[i]
+				}
+				if hasNull(kv) {
+					continue // NULL keys never match in equi-joins
+				}
+				row := make(Row, it.rightWidth)
+				sb.b.Gather(i, row)
+				key := encodeKey(&keyBuf, kv)
+				table[key] = append(table[key], row)
+				inserted++
+				batchBytes += rowMemBytes(row) + hashRowOverhead
+				for si, sf := range it.sideways {
+					accs[si].observe(kv[sf.keyPos])
+				}
+			}
+			it.m.addHashRows(int64(inserted))
+			if batchBytes == 0 {
+				return nil
+			}
 			if err := it.tracker.Reserve(opJoin, batchBytes); err != nil {
 				return err
 			}
-			it.reserved += batchBytes
+			atomic.AddInt64(&it.reserved, batchBytes)
+			return nil
 		}
 	}
-	it.publishSideways(accs)
+	if err := drainShards(it.right, shards, it.pool, it.m, prep, shard); err != nil {
+		return err
+	}
+	for _, accs := range shardAccs[1:] {
+		for si, a := range accs {
+			shardAccs[0][si].merge(a)
+		}
+	}
+	for si, sf := range it.sideways {
+		shardAccs[0][si].publish(sf)
+	}
 	it.built = true
 	return nil
 }
@@ -271,150 +287,6 @@ func (it *hashJoinIter) newKeyAccums() []*keyAccum {
 	return accs
 }
 
-// publishSideways installs the completed build's key summaries, enabling
-// probe-side pruning. Probe iterators start on the probe's first pull,
-// which happens strictly after the build completes.
-func (it *hashJoinIter) publishSideways(accs []*keyAccum) {
-	for si, sf := range it.sideways {
-		accs[si].publish(sf)
-	}
-}
-
-// buildTask carries one build-side batch to the partition workers: the key
-// expression vectors (copied out of the reader's reusable evaluator
-// buffers) and one hash per active row.
-type buildTask struct {
-	b       *vec.Batch
-	keyCols [][]types.Value
-	hashes  []uint64
-}
-
-// buildTableParallel partitions the build rows by key hash across the
-// worker pool. Each shard worker owns one map, visits batches in input
-// order, and inserts only its rows, so every bucket's slice is identical to
-// what the serial build produces; the probe side routes each lookup to the
-// shard its key hashes to.
-func (it *hashJoinIter) buildTableParallel() error {
-	shards := it.workers
-	it.tables = make([]map[string][]Row, shards)
-	chans := make([]chan buildTask, shards)
-	shardAccs := make([][]*keyAccum, shards)
-	var wg sync.WaitGroup
-	for p := 0; p < shards; p++ {
-		chans[p] = make(chan buildTask, 2)
-		it.tables[p] = make(map[string][]Row)
-		shardAccs[p] = it.newKeyAccums()
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			table := it.tables[p]
-			accs := shardAccs[p]
-			var keyBuf strings.Builder
-			kv := make([]types.Value, len(it.rightKeys))
-			for task := range chans[p] {
-				it.pool.acquire()
-				n := task.b.Len()
-				inserted := 0
-				var batchBytes int64
-				for i := 0; i < n; i++ {
-					if int(task.hashes[i]%uint64(shards)) != p {
-						continue
-					}
-					for k := range task.keyCols {
-						kv[k] = task.keyCols[k][i]
-					}
-					if hasNull(kv) {
-						continue // NULL keys never match in equi-joins
-					}
-					row := make(Row, it.rightWidth)
-					task.b.Gather(i, row)
-					key := encodeKey(&keyBuf, kv)
-					table[key] = append(table[key], row)
-					inserted++
-					batchBytes += rowMemBytes(row) + hashRowOverhead
-					for si, sf := range it.sideways {
-						accs[si].observe(kv[sf.keyPos])
-					}
-				}
-				it.m.addHashRows(int64(inserted))
-				it.pool.release()
-				// Reserve without holding a pool slot: Reserve may block
-				// while the pool spills a victim that needs slots to run.
-				if batchBytes > 0 {
-					if err := it.tracker.Reserve(opJoin, batchBytes); err != nil {
-						it.setBuildErr(err)
-					} else {
-						atomic.AddInt64(&it.reserved, batchBytes)
-					}
-				}
-			}
-		}(p)
-	}
-	var readErr error
-	for {
-		b, err := it.right.NextBatch()
-		if err != nil {
-			readErr = err
-			break
-		}
-		if b == nil {
-			break
-		}
-		n := b.Len()
-		it.m.addProcessed(int64(n))
-		if n == 0 {
-			continue
-		}
-		keyCols := make([][]types.Value, len(it.rightKeys))
-		for k, ev := range it.rightKeys {
-			vals := ev.eval(b)
-			cp := make([]types.Value, n)
-			copy(cp, vals)
-			keyCols[k] = cp
-		}
-		hashes := make([]uint64, n)
-		vec.HashRows(keyCols, hashes)
-		task := buildTask{b: b, keyCols: keyCols, hashes: hashes}
-		for p := range chans {
-			chans[p] <- task
-		}
-	}
-	for p := range chans {
-		close(chans[p])
-	}
-	wg.Wait()
-	if readErr != nil {
-		return readErr
-	}
-	if err := it.getBuildErr(); err != nil {
-		return err
-	}
-	if len(it.sideways) > 0 {
-		accs := it.newKeyAccums()
-		for p := range shardAccs {
-			for si := range accs {
-				accs[si].merge(shardAccs[p][si])
-			}
-		}
-		it.publishSideways(accs)
-	}
-	return nil
-}
-
-func (it *hashJoinIter) setBuildErr(err error) {
-	it.buildErrMu.Lock()
-	if it.buildErr == nil {
-		it.buildErr = err
-	}
-	it.buildErrMu.Unlock()
-}
-
-func (it *hashJoinIter) getBuildErr() error {
-	it.buildErrMu.Lock()
-	defer it.buildErrMu.Unlock()
-	return it.buildErr
-}
-
 // releaseBuild returns the build table's reservation once probing is done.
 // The table itself stays referenced until the iterator is dropped, but its
 // budget moves downstream (a spilled aggregation's replay, a sort merge).
@@ -428,10 +300,9 @@ func (it *hashJoinIter) releaseBuild() {
 	}
 }
 
-// lookup returns the bucket for a non-NULL probe key. Partitioned tables
-// route by the same hash the build used; equal encoded keys always hash
-// equal, so a matching build row is found exactly when the serial single
-// table would find it.
+// lookup returns the bucket for a non-NULL probe key. Several shards route
+// by the same hash the build used; equal encoded keys always hash equal, so
+// a matching build row is found exactly when one table would find it.
 func (it *hashJoinIter) lookup(kv []types.Value) []Row {
 	if len(it.tables) == 1 {
 		return it.tables[0][encodeKey(&it.keyBuf, kv)]

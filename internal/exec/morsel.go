@@ -85,7 +85,7 @@ type morselSource struct {
 	cols      []string
 	batchSize int
 	m         *Metrics
-	pool      *workerPool
+	pool      *WorkerPool
 	share     *scanshare.Manager
 	ctrl      *skipController
 }

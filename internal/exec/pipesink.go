@@ -30,7 +30,8 @@ func (ex *executor) buildScalarAggSink(g *logical.GroupBy) (BatchIterator, bool,
 	// Validate chain and aggregate compilation before committing to the
 	// scan. The spec and the validation worker both survive: every execution
 	// worker shares the spec's mask factorings, and the validation worker
-	// becomes worker 0 (or lends its stages to the serial fallback).
+	// becomes worker 0 (or lends its stages to the one-shard groupByIter
+	// that runs a one-morsel scan).
 	in := newAggInputSpec(g.Aggs, layoutOf(g.Input), ex.opts.NaiveMasks)
 	spec := &scalarWorkerSpec{cs: cs, in: in}
 	first, err := spec.newWorker()
@@ -42,14 +43,8 @@ func (ex *executor) buildScalarAggSink(g *logical.GroupBy) (BatchIterator, bool,
 		return nil, true, err
 	}
 	if len(morsels) <= 1 {
-		acc, err := newGroupAccumulator(in, nil, ex.tracker, ex.mempool.SpillDir())
-		if err != nil {
-			return nil, true, err
-		}
-		return &groupByIter{
-			in: ex.pullStages(&scanIter{src: src, parts: parts}, first.stages, ex.opts.BatchSize), acc: acc, scalar: true,
-			batchSize: ex.opts.BatchSize, m: ex.metrics,
-		}, true, nil
+		it, err := ex.newGroupByIter(ex.pullStages(&scanIter{src: src, parts: parts}, first.stages, ex.opts.BatchSize), in, nil, 1)
+		return it, true, err
 	}
 	run := newOrderedRun[scalarMorselOut](len(morsels), ex.opts.Parallelism)
 	workers, err := perWorker(run.workers, first, spec.newWorker)
@@ -204,7 +199,7 @@ func (it *scalarAggIter) NextBatch() (*vec.Batch, error) {
 		}
 	}
 	it.run.close()
-	// The serial accumulator creates its one scalar group on the first
+	// A one-shard groupByIter creates its one scalar group on the first
 	// consumed row and charges it to HashRows; empty input emits the default
 	// row uncounted.
 	if totalRows > 0 {

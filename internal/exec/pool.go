@@ -2,7 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
+
+	"repro/internal/vec"
 )
 
 // WorkerPool bounds concurrent CPU work across every parallel operator that
@@ -63,16 +66,143 @@ func (p *WorkerPool) Close() error {
 	return nil
 }
 
-// Closed reports whether Close has completed a drain.
-func (p *WorkerPool) Closed() bool { return p.closed.Load() }
-
 // String implements fmt.Stringer for debug output.
 func (p *WorkerPool) String() string {
 	return fmt.Sprintf("workerpool(%d slots, %d busy)", cap(p.slots), len(p.slots))
 }
 
-// workerPool is the historical private alias; per-run pools still build
-// through it when no engine-resident pool is supplied.
-type workerPool = WorkerPool
+// shardBatch is one input batch as one shard of a hash-partitioned build
+// sees it: rows are the logical indices of b's active rows whose key hash
+// maps to the shard, ascending (nil for a single shard: every row); base is
+// the global input index of b's first active row; aux is the drive's prep
+// result for b, shared read-only by every shard.
+type shardBatch[T any] struct {
+	b    *vec.Batch
+	rows []int
+	base int64
+	aux  T
+}
 
-func newWorkerPool(n int) *workerPool { return NewWorkerPool(n) }
+// count is the number of b's rows routed to the shard.
+func (sb *shardBatch[T]) count() int {
+	if sb.rows == nil {
+		return sb.b.Len()
+	}
+	return len(sb.rows)
+}
+
+// row is the logical index in b of the shard's j-th row.
+func (sb *shardBatch[T]) row(j int) int {
+	if sb.rows == nil {
+		return j
+	}
+	return sb.rows[j]
+}
+
+// drainShards is the one drive of the engine's hash-partitioned builds (the
+// hash-join build and hash aggregation). It pulls in to exhaustion, charging
+// RowsProcessed once per batch, and calls prep once per non-empty batch with
+// one hash slot per active row, nil for a single shard; prep fills the
+// hashes and returns what the shards need of the batch. Shard p consumes
+// exactly the rows whose hash maps to p, in input order, so all rows of one
+// key reach one shard in the order a serial loop would see them.
+//
+// A single shard runs inline on the caller's goroutine: no goroutine, no
+// pool slot, no hashing. With n > 1 shards every batch is broadcast to n
+// goroutines, each of which holds one pool slot while it works on one batch
+// (never while waiting on its channel, so stacked parallel operators cannot
+// starve each other into deadlock). shard(p) builds shard p's consumer on
+// the goroutine that runs it, so one shard's scratch never shares cache
+// lines with a sibling's. The first error from in or from any consumer ends
+// the drain; every shard goroutine has exited when drainShards returns.
+func drainShards[T any](in BatchIterator, n int, pool *WorkerPool, m *Metrics,
+	prep func(b *vec.Batch, hashes []uint64) T, shard func(p int) func(shardBatch[T]) error) error {
+	if n <= 1 {
+		consume := shard(0)
+		var base int64
+		for {
+			b, err := in.NextBatch()
+			if b == nil || err != nil {
+				return err
+			}
+			rows := b.Len()
+			m.addProcessed(int64(rows))
+			if rows == 0 {
+				continue
+			}
+			if err := consume(shardBatch[T]{b: b, base: base, aux: prep(b, nil)}); err != nil {
+				return err
+			}
+			base += int64(rows)
+		}
+	}
+	type task struct {
+		shardBatch[T]
+		hashes []uint64
+	}
+	var firstErr atomic.Pointer[error]
+	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
+	chans := make([]chan task, n)
+	var wg sync.WaitGroup
+	for p := range chans {
+		chans[p] = make(chan task, 2)
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			consume := shard(p)
+			var rows []int
+			for t := range chans[p] {
+				// After an error, keep draining without working so the
+				// reader never blocks.
+				if firstErr.Load() != nil {
+					continue
+				}
+				pool.acquire()
+				rows = rows[:0]
+				for i, h := range t.hashes {
+					if h%uint64(n) == uint64(p) {
+						rows = append(rows, i)
+					}
+				}
+				if len(rows) > 0 {
+					sb := t.shardBatch
+					sb.rows = rows
+					if err := consume(sb); err != nil {
+						fail(err)
+					}
+				}
+				pool.release()
+			}
+		}(p)
+	}
+	var base int64
+	for firstErr.Load() == nil {
+		b, err := in.NextBatch()
+		if err != nil {
+			fail(err)
+			break
+		}
+		if b == nil {
+			break
+		}
+		rows := b.Len()
+		m.addProcessed(int64(rows))
+		if rows == 0 {
+			continue
+		}
+		hashes := make([]uint64, rows)
+		t := task{shardBatch: shardBatch[T]{b: b, base: base, aux: prep(b, hashes)}, hashes: hashes}
+		base += int64(rows)
+		for _, ch := range chans {
+			ch <- t
+		}
+	}
+	for _, ch := range chans {
+		close(ch)
+	}
+	wg.Wait()
+	if err := firstErr.Load(); err != nil {
+		return *err
+	}
+	return nil
+}

@@ -14,7 +14,7 @@ import (
 // ShapeCache memoizes the expensive half of AnalyzeChain — the
 // ScanPartitions replay over partition metadata that computes a chain's
 // as-if-solo Storage charge and pruned cardinality — keyed by a plan
-// fingerprint plus the store's data epoch. Fused groups call AnalyzeChain
+// fingerprint under the store's data epoch. Fused groups call AnalyzeChain
 // once per member per run, and every member of a duplicate-query batch (the
 // paper's concurrent-dashboards motivation) shares one fingerprint, so the
 // partition walk happens once per distinct shape per data version instead
@@ -29,17 +29,21 @@ import (
 // identical pruning, so their Storage charge and pruned row count are
 // equal by construction. Stage counts are NOT cached — they are cheap to
 // recompute and belong to the individual plan.
+//
+// Only the live epoch's entries are kept: an entry under an older epoch can
+// never hit again, so the map is dropped when the epoch moves, and also
+// when it reaches shapeCacheCap (fresh prune literals within one epoch mint
+// fresh fingerprints), which bounds the cache over a server's lifetime.
 type ShapeCache struct {
 	mu      sync.Mutex
-	entries map[shapeKey]shapeEntry
+	epoch   int64
+	entries map[string]shapeEntry
 	hits    atomic.Int64
 	misses  atomic.Int64
 }
 
-type shapeKey struct {
-	epoch int64
-	fp    string
-}
+// shapeCacheCap bounds the live epoch's entries.
+const shapeCacheCap = 1024
 
 type shapeEntry struct {
 	storage    storage.Metrics
@@ -48,7 +52,7 @@ type shapeEntry struct {
 
 // NewShapeCache creates an empty cache.
 func NewShapeCache() *ShapeCache {
-	return &ShapeCache{entries: make(map[shapeKey]shapeEntry)}
+	return &ShapeCache{entries: make(map[string]shapeEntry)}
 }
 
 // Hits and Misses report cache effectiveness (for tests and benchmarks).
@@ -96,14 +100,15 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, store *storage.Store) (
 		}
 	}
 	// The epoch is read once, before the partition walk: a concurrent
-	// mutation (Load or Append) can at worst leave this result recorded
-	// under the pre-mutation epoch (a dead entry), never stale data under
-	// the live epoch.
+	// mutation (Load or Append) can at worst leave this result under the
+	// pre-mutation epoch (not stored), never stale data under the live
+	// epoch.
 	fp, fpOK := chainFingerprint(cs)
-	key := shapeKey{epoch: store.Epoch(), fp: fp}
+	epoch := store.Epoch()
 	if fpOK {
 		c.mu.Lock()
-		e, hit := c.entries[key]
+		e, hit := c.entries[fp]
+		hit = hit && c.epoch == epoch
 		c.mu.Unlock()
 		if hit {
 			c.hits.Add(1)
@@ -122,7 +127,12 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, store *storage.Store) (
 	c.misses.Add(1)
 	if fpOK {
 		c.mu.Lock()
-		c.entries[key] = shapeEntry{storage: sh.Storage, prunedRows: sh.PrunedRows}
+		if epoch >= c.epoch {
+			if epoch > c.epoch || len(c.entries) >= shapeCacheCap {
+				c.epoch, c.entries = epoch, make(map[string]shapeEntry)
+			}
+			c.entries[fp] = shapeEntry{storage: sh.Storage, prunedRows: sh.PrunedRows}
+		}
 		c.mu.Unlock()
 	}
 	return sh, true, nil

@@ -125,3 +125,46 @@ func TestShapeCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("cached %+v != uncached %+v after reload", *after, *want)
 	}
 }
+
+// TestShapeCacheBounded pins the cache's bound: an Append drops every entry
+// of the superseded epoch, and fresh prune literals within one epoch never
+// hold more than shapeCacheCap entries.
+func TestShapeCacheBounded(t *testing.T) {
+	st := fixture(t)
+	c := NewShapeCache()
+	for d := int64(0); d < 3; d++ {
+		if _, _, err := c.AnalyzeChain(chainPlan(t, st, d, 0), st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.entries) != 3 {
+		t.Fatalf("entries = %d, want 3", len(c.entries))
+	}
+	row := []types.Value{types.Int(0), types.Int(0), types.Int(1), types.Float(1), types.Int(0)}
+	if err := st.Append("sales", [][]types.Value{row}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.AnalyzeChain(chainPlan(t, st, 0, 0), st); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.entries) != 1 || c.epoch != st.Epoch() {
+		t.Fatalf("after Append: %d entries under epoch %d (store %d), want 1 under the live epoch",
+			len(c.entries), c.epoch, st.Epoch())
+	}
+	for d := int64(0); d <= shapeCacheCap; d++ {
+		if _, _, err := c.AnalyzeChain(chainPlan(t, st, 100+d, 0), st); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.entries) > shapeCacheCap {
+			t.Fatalf("after %d distinct prune literals: %d entries > cap %d", d+1, len(c.entries), shapeCacheCap)
+		}
+	}
+	// The live epoch's entries still hit.
+	before := c.Hits()
+	if _, _, err := c.AnalyzeChain(chainPlan(t, st, 100+shapeCacheCap, 0), st); err != nil {
+		t.Fatal(err)
+	}
+	if c.Hits() != before+1 {
+		t.Fatal("a live-epoch entry missed after the cap was reached")
+	}
+}

@@ -553,8 +553,8 @@ func bloomDisjoint(bloom []uint64, cst *storage.ChunkStats) (miss, decided bool)
 }
 
 // keyAccum accumulates build-side key statistics during table insertion;
-// the parallel build keeps one per shard per key position and merges
-// after the workers drain.
+// every build shard keeps one per key position, and the shards' summaries
+// merge into shard 0's once the drain is done.
 type keyAccum struct {
 	kind      types.Kind
 	hasRows   bool

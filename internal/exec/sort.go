@@ -61,7 +61,7 @@ type sortIter struct {
 	width     int
 	batchSize int
 	m         *Metrics
-	pool      *workerPool
+	pool      *WorkerPool
 	tracker   *memctl.Tracker
 	spillDir  string
 
