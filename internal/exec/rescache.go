@@ -126,11 +126,21 @@ type rcTeeIter struct {
 	priv      *Metrics
 	parent    *Metrics
 	limit     int64
-	rows      [][]types.Value
+	width     int
+	slabs     []teeSlab
+	nrows     int
 	bytes     int64
 	abandoned bool
 	eof       bool
 	once      sync.Once
+}
+
+// teeSlab holds one batch's captured rows, row-major in one allocation.
+// The row slices are cut only at offer time, so a capture that is
+// abandoned never builds them.
+type teeSlab struct {
+	vals []types.Value
+	n    int
 }
 
 func (t *rcTeeIter) NextBatch() (*vec.Batch, error) {
@@ -144,17 +154,19 @@ func (t *rcTeeIter) NextBatch() (*vec.Batch, error) {
 		return nil, nil
 	}
 	if !t.abandoned {
-		n := b.Len()
-		w := b.Width()
+		n, w := b.Len(), b.Width()
+		t.width = w
+		slab := make([]types.Value, n*w)
 		for i := 0; i < n; i++ {
-			row := make([]types.Value, w)
+			row := slab[i*w : (i+1)*w]
 			b.Gather(i, row)
-			t.rows = append(t.rows, row)
 			t.bytes += rescache.RowBytes(row)
 		}
+		t.slabs = append(t.slabs, teeSlab{vals: slab, n: n})
+		t.nrows += n
 		if t.bytes > t.limit {
 			t.abandoned = true
-			t.rows = nil
+			t.slabs = nil
 		}
 	}
 	return b, nil
@@ -168,9 +180,14 @@ func (t *rcTeeIter) finish() {
 			if t.abandoned {
 				t.parent.ResultCache.AdmissionRejects++
 			} else {
-				rows := t.rows
-				if rows == nil {
-					rows = [][]types.Value{}
+				// Each row's capacity ends at its width, so no consumer can
+				// append into its neighbour in the shared slab.
+				rows := make([][]types.Value, 0, t.nrows)
+				w := t.width
+				for _, s := range t.slabs {
+					for i := 0; i < s.n; i++ {
+						rows = append(rows, s.vals[i*w:(i+1)*w:(i+1)*w])
+					}
 				}
 				admitted, evicted := t.tx.Offer(rows, t.bytes, costOf(t.priv))
 				if !admitted {

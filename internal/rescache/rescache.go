@@ -70,6 +70,13 @@ type Cache struct {
 	bytes   int64
 	clock   float64
 	entries map[string]*cacheEntry
+	// sigs holds, per table, the signature its latest admitted entry was
+	// taken under. Entries of one partition set share that one string: a
+	// signature is a few bytes per partition (kilobytes on a fact table),
+	// is not counted in an entry's Bytes, and would otherwise be copied
+	// into every entry, so cheap fresh-literal entries would hold far more
+	// memory than the cache accounts for.
+	sigs map[string]string
 	// obsBytes/obsRows accumulate the scanned bytes and rows of every
 	// offered sub-plan, whatever the admission verdict — the observed
 	// decode cost profile the adaptive admission floor is derived from.
@@ -79,7 +86,7 @@ type Cache struct {
 
 // New creates a cache bounded to capBytes of accounted result bytes.
 func New(capBytes int64) *Cache {
-	return &Cache{cap: capBytes, entries: make(map[string]*cacheEntry)}
+	return &Cache{cap: capBytes, entries: make(map[string]*cacheEntry), sigs: make(map[string]string)}
 }
 
 // For resolves the store's shared result cache, creating it bounded to
@@ -234,9 +241,15 @@ func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitt
 	if c.bytes+bytes > c.cap {
 		return false, evictedBytes
 	}
+	sig := tx.sig
+	if shared := c.sigs[tx.table]; shared == sig {
+		sig = shared
+	} else {
+		c.sigs[tx.table] = sig
+	}
 	c.entries[tx.fp] = &cacheEntry{
 		Entry: Entry{Rows: rows, Cost: cost, Bytes: bytes},
-		sig:   tx.sig,
+		sig:   sig,
 		h:     c.clock + density(cost, bytes),
 	}
 	c.bytes += bytes

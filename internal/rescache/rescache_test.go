@@ -2,6 +2,7 @@ package rescache
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -275,5 +276,43 @@ func TestBeginNilCases(t *testing.T) {
 	empty := storage.NewStore(cat)
 	if tx := c.Begin(chainPlan(t, st, 1), empty); tx != nil {
 		t.Fatal("empty table began a transaction")
+	}
+}
+
+// TestEntriesShareTableSignature admits several entries over one partition
+// set and requires them to hold one copy of its signature, not one each;
+// after an append the next entry takes the new signature, and the entries
+// taken under the old one are invalidated as before.
+func TestEntriesShareTableSignature(t *testing.T) {
+	st := testStore(t)
+	c := New(1 << 20)
+	var fps []string
+	for lim := int64(1); lim <= 3; lim++ {
+		tx := c.Begin(chainPlan(t, st, lim), st)
+		rows, bytes := rowsOfBytes(2, 8)
+		if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); !admitted {
+			t.Fatalf("offer %d rejected", lim)
+		}
+		fps = append(fps, tx.fp)
+	}
+	first := c.entries[fps[0]].sig
+	for _, fp := range fps[1:] {
+		if sig := c.entries[fp].sig; sig != first || unsafe.StringData(sig) != unsafe.StringData(first) {
+			t.Fatal("entries over one partition set hold separate signature copies")
+		}
+	}
+	if err := st.Append("f", [][]types.Value{{types.Int(1), types.Int(99), types.Int(7)}}); err != nil {
+		t.Fatal(err)
+	}
+	tx := c.Begin(chainPlan(t, st, 4), st)
+	rows, bytes := rowsOfBytes(2, 8)
+	if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); !admitted {
+		t.Fatal("offer after append rejected")
+	}
+	if c.entries[tx.fp].sig == first {
+		t.Fatal("entry after an append kept the old signature")
+	}
+	if _, ok := c.Begin(chainPlan(t, st, 1), st).Lookup(); ok {
+		t.Fatal("entry taken before the append still hits")
 	}
 }

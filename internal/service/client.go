@@ -188,9 +188,15 @@ func (c *Client) QueryAs(ctx context.Context, tenant, sql string) (*ClientResult
 	if !resp.OK {
 		return nil, kindErr(resp.Kind, resp.Err)
 	}
-	rows, err := decodeRows(resp.Rows)
-	if err != nil {
-		return nil, err
+	var rows [][]types.Value
+	if resp.Block != nil {
+		var width int
+		if rows, width, err = decodeBlock(resp.Block); err != nil {
+			return nil, err
+		}
+		if width != len(resp.Columns) {
+			return nil, fmt.Errorf("service: result block is %d values wide for %d columns", width, len(resp.Columns))
+		}
 	}
 	res := &ClientResult{Columns: resp.Columns, Rows: rows}
 	if resp.Metrics != nil {

@@ -183,11 +183,16 @@ func (h *connHandler) query(req Request) {
 		h.write(&Response{ID: req.ID, Err: err.Error(), Kind: errKind(err)})
 		return
 	}
+	block, err := encodeBlock(len(res.Columns), res.Rows)
+	if err != nil {
+		h.write(&Response{ID: req.ID, Err: err.Error()})
+		return
+	}
 	h.write(&Response{
 		ID:      req.ID,
 		OK:      true,
 		Columns: res.Columns,
-		Rows:    encodeRows(res.Rows),
+		Block:   block,
 		Metrics: &ResultMetrics{
 			BytesScanned:    res.Metrics.Storage.BytesScanned,
 			RowsProcessed:   res.Metrics.RowsProcessed,
