@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -335,6 +334,10 @@ func (e *unboundError) Error() string {
 type group struct {
 	keyVals []types.Value
 	states  []aggState
+	// hash is keyVals' vec.HashKey hash; next chains the groups sharing it
+	// in the accumulator's table.
+	hash uint64
+	next *group
 	// firstIdx is the global input row index of the group's first row. A
 	// shard discovers its groups in ascending firstIdx order by
 	// construction; the emitter interleaves every shard's streams back into
@@ -357,9 +360,8 @@ type groupAccumulator struct {
 	*aggInput
 	keyIdx []int
 
-	groups map[string]*group
-	order  []*group // discovery order; ascending firstIdx within one shard
-	keyBuf strings.Builder
+	groups map[uint64]*group // key hash -> chain of groups (findGroup)
+	order  []*group          // discovery order; ascending firstIdx within one shard
 	kv     []types.Value
 
 	// per-batch scratch
@@ -402,7 +404,7 @@ func newGroupAccumulator(spec *aggInputSpec, keyIdx []int, tracker *memctl.Track
 	return &groupAccumulator{
 		aggInput:   in,
 		keyIdx:     keyIdx,
-		groups:     make(map[string]*group),
+		groups:     make(map[uint64]*group),
 		kv:         make([]types.Value, len(keyIdx)),
 		tracker:    tracker,
 		spillDir:   spillDir,
@@ -415,6 +417,8 @@ func newGroupAccumulator(spec *aggInputSpec, keyIdx []int, tracker *memctl.Track
 // global input row index of the batch's i-th active row (log nil means the
 // identity mapping, i.e. the batch holds consecutive input rows starting at
 // base); it pins each new group's firstIdx for the deterministic merge.
+// hashes[log[i]] (hashes[i] when log is nil) is that row's key hash; a
+// scalar accumulator ignores it.
 //
 // The batch is processed under ga.mu (excluding concurrent Spill calls),
 // then new groups' bytes are reserved with no lock held — the pool may pick
@@ -425,9 +429,9 @@ func newGroupAccumulator(spec *aggInputSpec, keyIdx []int, tracker *memctl.Track
 // not yet resident, so no victim can free them. A keyed accumulator then
 // puts them on disk instead: every unspilled partition holding one is
 // dumped, and the groups need no reservation at all.
-func (ga *groupAccumulator) consumeBatch(b *vec.Batch, base int64, log []int) error {
+func (ga *groupAccumulator) consumeBatch(b *vec.Batch, base int64, log []int, hashes []uint64) error {
 	ga.mu.Lock()
-	pending, newBytes, err := ga.consumeLocked(b, base, log)
+	pending, newBytes, err := ga.consumeLocked(b, base, log, hashes)
 	ga.mu.Unlock()
 	if err != nil {
 		return err
@@ -478,7 +482,41 @@ func globalIdx(base int64, i int, log []int) int64 {
 	return base + int64(i)
 }
 
-func (ga *groupAccumulator) consumeLocked(b *vec.Batch, base int64, log []int) ([]*group, int64, error) {
+// findGroup returns the resident group of key kv, whose hash is h, or nil.
+func (ga *groupAccumulator) findGroup(h uint64, kv []types.Value) *group {
+	for g := ga.groups[h]; g != nil; g = g.next {
+		if keysEqual(g.keyVals, kv) {
+			return g
+		}
+	}
+	return nil
+}
+
+// putGroup makes g resident in the table; its key must not be resident.
+func (ga *groupAccumulator) putGroup(g *group) {
+	g.next = ga.groups[g.hash]
+	ga.groups[g.hash] = g
+}
+
+// dropGroup removes the resident group g from the table.
+func (ga *groupAccumulator) dropGroup(g *group) {
+	head := ga.groups[g.hash]
+	switch {
+	case head != g:
+		p := head
+		for p.next != g {
+			p = p.next
+		}
+		p.next = g.next
+	case g.next == nil:
+		delete(ga.groups, g.hash)
+	default:
+		ga.groups[g.hash] = g.next
+	}
+	g.next = nil
+}
+
+func (ga *groupAccumulator) consumeLocked(b *vec.Batch, base int64, log []int, hashes []uint64) ([]*group, int64, error) {
 	n := b.Len()
 	if n == 0 {
 		return nil, 0, nil
@@ -496,7 +534,6 @@ func (ga *groupAccumulator) consumeLocked(b *vec.Batch, base int64, log []int) (
 	if scalar {
 		if ga.scalarG == nil {
 			ga.scalarG = &group{states: make([]aggState, len(ga.aggs.aggs)), part: -1}
-			ga.groups[""] = ga.scalarG
 			ga.order = append(ga.order, ga.scalarG)
 			ga.groupsCreated++
 		}
@@ -508,12 +545,15 @@ func (ga *groupAccumulator) consumeLocked(b *vec.Batch, base int64, log []int) (
 			for k, idx := range ga.keyIdx {
 				ga.kv[k] = b.Value(idx, i)
 			}
-			key := encodeKey(&ga.keyBuf, ga.kv)
-			g, ok := ga.groups[key]
-			if !ok {
+			h := hashes[i]
+			if log != nil {
+				h = hashes[log[i]]
+			}
+			g := ga.findGroup(h, ga.kv)
+			if g == nil {
 				part := -1
 				if ga.spillActive {
-					part = int(vec.HashKey(ga.kv) % numSpillParts)
+					part = int(h % numSpillParts)
 					if ga.parts[part].spilled {
 						// The row's group lives on disk: save its key for
 						// the raw-row record and skip accumulation.
@@ -533,10 +573,11 @@ func (ga *groupAccumulator) consumeLocked(b *vec.Batch, base int64, log []int) (
 				g = &group{
 					keyVals:  append([]types.Value{}, ga.kv...),
 					states:   make([]aggState, len(ga.aggs.aggs)),
+					hash:     h,
 					firstIdx: globalIdx(base, i, log),
 					part:     part,
 				}
-				ga.groups[key] = g
+				ga.putGroup(g)
 				ga.order = append(ga.order, g)
 				ga.groupsCreated++
 				if part >= 0 {
@@ -707,7 +748,7 @@ func (it *groupByIter) NextBatch() (*vec.Batch, error) {
 
 func (it *groupByIter) consume() error {
 	prep := func(b *vec.Batch, hashes []uint64) struct{} {
-		if hashes != nil {
+		if len(it.keyIdx) > 0 {
 			b.HashColumns(it.keyIdx, hashes)
 		}
 		return struct{}{}
@@ -717,13 +758,13 @@ func (it *groupByIter) consume() error {
 		var phys []int
 		return func(sb shardBatch[struct{}]) error {
 			if sb.rows == nil {
-				return acc.consumeBatch(sb.b, sb.base, nil)
+				return acc.consumeBatch(sb.b, sb.base, nil, sb.hashes)
 			}
 			phys = phys[:0]
 			for _, i := range sb.rows {
 				phys = append(phys, sb.b.RowIdx(i))
 			}
-			return acc.consumeBatch(sb.b.WithSel(phys), sb.base, sb.rows)
+			return acc.consumeBatch(sb.b.WithSel(phys), sb.base, sb.rows, sb.hashes)
 		}
 	}
 	if err := drainShards(it.in, len(it.accs), it.pool, it.m, prep, shard); err != nil {
@@ -801,7 +842,7 @@ func (ex *executor) buildMarkDistinct(md *logical.MarkDistinct) (BatchIterator, 
 	marks := make([]markSpec, len(chain))
 	for i := range chain {
 		node := chain[len(chain)-1-i] // innermost first
-		spec := markSpec{onIdx: make([]int, len(node.On)), seen: make(map[string]bool)}
+		spec := markSpec{onIdx: make([]int, len(node.On)), seen: newKeyIndex(len(node.On))}
 		for k, c := range node.On {
 			idx, ok := layout[c.ID]
 			if !ok {
@@ -825,7 +866,7 @@ type markSpec struct {
 	onIdx []int
 	// mask qualifies rows for distinctness tracking (nil admits every row).
 	mask *maskSet
-	seen map[string]bool
+	seen keyIndex // the On tuples seen so far
 }
 
 // markDistinctIter implements §III.F: pass the input through, appending one
@@ -841,7 +882,6 @@ type markDistinctIter struct {
 	in        BatchIterator
 	baseWidth int
 	marks     []markSpec
-	keyBuf    strings.Builder
 	kv        []types.Value
 	m         *Metrics
 }
@@ -893,9 +933,7 @@ func (it *markDistinctIter) NextBatch() (*vec.Batch, error) {
 				for k, idx := range spec.onIdx {
 					kv[k] = ext[idx][i]
 				}
-				key := encodeKey(&it.keyBuf, kv)
-				if !spec.seen[key] {
-					spec.seen[key] = true
+				if _, added := spec.seen.findOrAdd(vec.HashKey(kv), kv); added {
 					first = true
 					firsts++
 				}
@@ -970,7 +1008,6 @@ type windowIter struct {
 	outIdx int
 	// per function: row index -> partition state
 	states [][]*aggState
-	keyBuf strings.Builder
 }
 
 func (it *windowIter) NextBatch() (*vec.Batch, error) {
@@ -1009,19 +1046,19 @@ func (it *windowIter) consume() error {
 	it.m.addHashRows(int64(len(rows)))
 	it.states = make([][]*aggState, len(it.funcs))
 	for fi, f := range it.funcs {
-		partitions := make(map[string]*aggState)
+		partitions := newKeyIndex(len(f.partIdx))
+		var partStates []*aggState // per partitions entry
 		rowState := make([]*aggState, len(it.rows))
 		kv := make([]types.Value, len(f.partIdx))
 		for ri, row := range it.rows {
 			for i, idx := range f.partIdx {
 				kv[i] = row[idx]
 			}
-			k := encodeKey(&it.keyBuf, kv)
-			st, ok := partitions[k]
-			if !ok {
-				st = &aggState{}
-				partitions[k] = st
+			e, added := partitions.findOrAdd(vec.HashKey(kv), kv)
+			if added {
+				partStates = append(partStates, &aggState{})
 			}
+			st := partStates[e]
 			rowState[ri] = st
 			if f.mask != nil && !f.mask.eval(row).IsTrue() {
 				continue

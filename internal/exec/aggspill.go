@@ -103,7 +103,7 @@ func (ga *groupAccumulator) Spill() (int64, error) {
 func (ga *groupAccumulator) activateSpill() {
 	ga.spillActive = true
 	for _, g := range ga.order {
-		g.part = int(vec.HashKey(g.keyVals) % numSpillParts)
+		g.part = int(g.hash % numSpillParts)
 		ga.parts[g.part].groups = append(ga.parts[g.part].groups, g)
 	}
 }
@@ -176,7 +176,7 @@ func (ga *groupAccumulator) dumpPartition(p int) (int64, error) {
 	pt.rowsW = rw
 	pt.spilled = true
 	for _, g := range pt.groups {
-		delete(ga.groups, encodeKey(&ga.keyBuf, g.keyVals))
+		ga.dropGroup(g)
 	}
 	keep := make([]*group, 0, len(ga.order)-len(pt.groups))
 	for _, g := range ga.order {
@@ -241,7 +241,7 @@ func (ga *groupAccumulator) flushResident() error {
 	}
 	ga.runs = append(ga.runs, f)
 	ga.order = nil
-	ga.groups = make(map[string]*group)
+	ga.groups = make(map[uint64]*group)
 	return nil
 }
 
@@ -341,7 +341,7 @@ func (ga *groupAccumulator) replayFiles(state, rows *storage.SpillFile, depth in
 			ga.runs = append(ga.runs, f)
 		}
 		for _, g := range porder {
-			delete(ga.groups, encodeKey(&ga.keyBuf, g.keyVals))
+			ga.dropGroup(g)
 		}
 		return nil
 	}
@@ -473,7 +473,7 @@ func (ga *groupAccumulator) replayPair(state, rows *storage.SpillFile) ([]*group
 	}
 	fail := func(err error) ([]*group, error) {
 		for _, g := range porder {
-			delete(ga.groups, encodeKey(&ga.keyBuf, g.keyVals))
+			ga.dropGroup(g)
 		}
 		ga.groupsCreated -= createdHere
 		if reservedHere > 0 {
@@ -496,6 +496,7 @@ func (ga *groupAccumulator) replayPair(state, rows *storage.SpillFile) ([]*group
 		g := &group{
 			keyVals:  append([]types.Value{}, srec[1:1+kw]...),
 			states:   make([]aggState, nAggs),
+			hash:     vec.HashKey(srec[1 : 1+kw]),
 			firstIdx: srec[0].I,
 			part:     -1,
 			reserved: true,
@@ -511,7 +512,7 @@ func (ga *groupAccumulator) replayPair(state, rows *storage.SpillFile) ([]*group
 			st.max = srec[off+5]
 			off += 6
 		}
-		ga.groups[encodeKey(&ga.keyBuf, g.keyVals)] = g
+		ga.putGroup(g)
 		porder = append(porder, g)
 		pendBytes += groupMemBytes(g.keyVals, nAggs)
 		if err := reserve(false); err != nil {
@@ -532,17 +533,18 @@ func (ga *groupAccumulator) replayPair(state, rows *storage.SpillFile) ([]*group
 			break
 		}
 		kv := rrec[1 : 1+kw]
-		key := encodeKey(&ga.keyBuf, kv)
-		g, exists := ga.groups[key]
-		if !exists {
+		h := vec.HashKey(kv)
+		g := ga.findGroup(h, kv)
+		if g == nil {
 			g = &group{
 				keyVals:  append([]types.Value{}, kv...),
 				states:   make([]aggState, nAggs),
+				hash:     h,
 				firstIdx: rrec[0].I,
 				part:     -1,
 				reserved: true,
 			}
-			ga.groups[key] = g
+			ga.putGroup(g)
 			porder = append(porder, g)
 			ga.groupsCreated++
 			createdHere++

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"slices"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -12,33 +10,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/vec"
 )
-
-// keyBuf encodes a tuple of values into a hashable string key with type
-// tags; NULL encodes distinctly so callers can decide NULL semantics.
-func encodeKey(b *strings.Builder, vals []types.Value) string {
-	b.Reset()
-	for _, v := range vals {
-		if v.Null {
-			b.WriteByte('n')
-		} else {
-			switch v.Kind {
-			case types.KindString:
-				b.WriteByte('s')
-				b.WriteString(strconv.Itoa(len(v.S)))
-				b.WriteByte(':')
-				b.WriteString(v.S)
-			case types.KindFloat64:
-				b.WriteByte('f')
-				b.WriteString(strconv.FormatFloat(v.F, 'b', -1, 64))
-			default:
-				b.WriteByte('i')
-				b.WriteString(strconv.FormatInt(v.I, 10))
-			}
-		}
-		b.WriteByte('|')
-	}
-	return b.String()
-}
 
 func hasNull(vals []types.Value) bool {
 	for _, v := range vals {
@@ -89,6 +60,12 @@ func (ex *executor) buildJoin(j *logical.Join) (BatchIterator, error) {
 				lev, lerr := newBatchEvaluator(le, leftLayout)
 				rev, rerr := newBatchEvaluator(re, rightLayout)
 				if lerr == nil && rerr == nil {
+					// A BIGINT key against a DOUBLE key compares as DOUBLE,
+					// as a filter or a nested-loop join compares them: the
+					// integer side is promoted before hashing.
+					if le.Type() != re.Type() {
+						lev, rev = floatKey(lev, le.Type()), floatKey(rev, re.Type())
+					}
 					leftKeys = append(leftKeys, lev)
 					rightKeys = append(rightKeys, rev)
 					leftKeyExprs = append(leftKeyExprs, le)
@@ -143,14 +120,72 @@ func (ex *executor) buildJoin(j *logical.Join) (BatchIterator, error) {
 	return hj, nil
 }
 
+// floatKey promotes a join key evaluator of the given kind to DOUBLE
+// values; a DOUBLE key is returned as it is. NULLs stay NULL.
+func floatKey(ev *batchEvaluator, kind types.Kind) *batchEvaluator {
+	if kind == types.KindFloat64 {
+		return ev
+	}
+	fn := ev.fn
+	return &batchEvaluator{fn: func(b *vec.Batch, out []types.Value) {
+		fn(b, out)
+		for i, v := range out {
+			if !v.Null {
+				out[i] = types.Float(float64(v.I))
+			}
+		}
+	}}
+}
+
+// joinTable is one build shard's hash table. keys numbers the shard's
+// distinct build keys; each key entry chains its build rows in insertion
+// order through rowNext, from first[e] to last[e], so a probe walks its
+// matches in exactly the order a per-key bucket list would hold them.
+type joinTable struct {
+	keys    keyIndex
+	first   []int32    // per key entry: its first build row
+	last    []int32    // per key entry: its last build row
+	rows    tupleStore // build rows, in insertion order
+	rowNext []int32    // per build row: the next row with the same key, -1 at the end
+}
+
+func newJoinTable(keyWidth, rowWidth int) *joinTable {
+	return &joinTable{keys: newKeyIndex(keyWidth), rows: tupleStore{width: rowWidth}}
+}
+
+// insert adds a build row under key, whose hash is h, and returns the
+// row's slot for the caller to fill.
+func (t *joinTable) insert(h uint64, key []types.Value) Row {
+	r := int32(len(t.rowNext))
+	row := t.rows.add()
+	t.rowNext = append(t.rowNext, -1)
+	e, added := t.keys.findOrAdd(h, key)
+	if added {
+		t.first = append(t.first, r)
+		t.last = append(t.last, r)
+		return row
+	}
+	t.rowNext[t.last[e]] = r
+	t.last[e] = r
+	return row
+}
+
+// match returns the first build row of key, whose hash is h, or -1.
+func (t *joinTable) match(h uint64, key []types.Value) int32 {
+	if e := t.keys.find(h, key); e >= 0 {
+		return t.first[e]
+	}
+	return -1
+}
+
 // hashJoinIter builds a hash table over the right input and streams the
 // left (probe) input batch-at-a-time — the engine's only buffered state,
 // matching a streaming engine's memory profile. The build is one
 // hash-partitioned drive (drainShards) with one table shard per unit of
 // Parallelism: each shard holds exactly the rows whose key hash maps to it,
-// inserted in input order, and a single shard is the plain serial loop.
-// Probe keys are evaluated vector-wise per batch; matches accumulate into
-// an output builder until a full batch is ready.
+// inserted in input order. Probe keys are evaluated and hashed vector-wise
+// per batch; each probe row walks its shard's chain for its key, and
+// matches accumulate into an output builder until a full batch is ready.
 type hashJoinIter struct {
 	kind                  logical.JoinKind
 	left, right           BatchIterator
@@ -174,19 +209,19 @@ type hashJoinIter struct {
 	sideways []*sidewaysFilter
 
 	built   bool
-	tables  []map[string][]Row // hash-partitioned shards, one per build shard
-	keyBuf  strings.Builder
+	tables  []*joinTable // hash-partitioned shards, one per build shard
 	keyVals []types.Value
 
 	// probe state
 	leftBatch      *vec.Batch
 	leftKeyCols    [][]types.Value
+	leftHashes     []uint64
 	leftRowIdx     int
 	curLeft        Row
 	curLeftActive  bool
 	curLeftMatched bool
-	curMatches     []Row
-	matchIdx       int
+	curTable       *joinTable
+	curRow         int32 // next build row to try for curLeft, -1 when none
 	combined       Row
 }
 
@@ -201,19 +236,19 @@ func (it *hashJoinIter) outWidth() int {
 // tables through drainShards. prep evaluates the key expressions (copied out
 // of the evaluators' reusable buffers only when several shards read them)
 // and hashes them; each shard inserts its rows into its own table in input
-// order, so every bucket's row order is the serial build's, reserves their
+// order, so every key's row order is the serial build's, reserves their
 // bytes and observes its own sideways key summaries, which merge into shard
 // 0's once the drain is done.
 func (it *hashJoinIter) buildTable() error {
 	shards := max(1, it.workers)
 	it.keyVals = make([]types.Value, len(it.rightKeys))
-	it.tables = make([]map[string][]Row, shards)
+	it.tables = make([]*joinTable, shards)
 	shardAccs := make([][]*keyAccum, shards)
 	prep := func(b *vec.Batch, hashes []uint64) [][]types.Value {
 		keyCols := make([][]types.Value, len(it.rightKeys))
 		for k, ev := range it.rightKeys {
 			keyCols[k] = ev.eval(b)
-			if hashes != nil {
+			if shards > 1 {
 				keyCols[k] = slices.Clone(keyCols[k])
 			}
 		}
@@ -221,11 +256,10 @@ func (it *hashJoinIter) buildTable() error {
 		return keyCols
 	}
 	shard := func(p int) func(shardBatch[[][]types.Value]) error {
-		table := make(map[string][]Row)
+		table := newJoinTable(len(it.rightKeys), it.rightWidth)
 		it.tables[p] = table
 		accs := it.newKeyAccums()
 		shardAccs[p] = accs
-		var keyBuf strings.Builder
 		kv := make([]types.Value, len(it.rightKeys))
 		return func(sb shardBatch[[][]types.Value]) error {
 			inserted := 0
@@ -238,10 +272,8 @@ func (it *hashJoinIter) buildTable() error {
 				if hasNull(kv) {
 					continue // NULL keys never match in equi-joins
 				}
-				row := make(Row, it.rightWidth)
+				row := table.insert(sb.hashes[i], kv)
 				sb.b.Gather(i, row)
-				key := encodeKey(&keyBuf, kv)
-				table[key] = append(table[key], row)
 				inserted++
 				batchBytes += rowMemBytes(row) + hashRowOverhead
 				for si, sf := range it.sideways {
@@ -287,28 +319,19 @@ func (it *hashJoinIter) newKeyAccums() []*keyAccum {
 	return accs
 }
 
-// releaseBuild returns the build table's reservation once probing is done.
-// The table itself stays referenced until the iterator is dropped, but its
-// budget moves downstream (a spilled aggregation's replay, a sort merge).
+// releaseBuild returns the build table's reservation once probing is done
+// and drops the tables, so a finished join's build rows can be collected
+// while the rest of the plan runs; the budget moves downstream (a spilled
+// aggregation's replay, a sort merge).
 func (it *hashJoinIter) releaseBuild() {
 	if it.released {
 		return
 	}
 	it.released = true
+	it.tables, it.curTable = nil, nil
 	if r := atomic.LoadInt64(&it.reserved); r > 0 {
 		it.tracker.Release(opJoin, r)
 	}
-}
-
-// lookup returns the bucket for a non-NULL probe key. Several shards route
-// by the same hash the build used; equal encoded keys always hash equal, so
-// a matching build row is found exactly when one table would find it.
-func (it *hashJoinIter) lookup(kv []types.Value) []Row {
-	if len(it.tables) == 1 {
-		return it.tables[0][encodeKey(&it.keyBuf, kv)]
-	}
-	shard := vec.HashKey(kv) % uint64(len(it.tables))
-	return it.tables[shard][encodeKey(&it.keyBuf, kv)]
 }
 
 func (it *hashJoinIter) NextBatch() (*vec.Batch, error) {
@@ -318,13 +341,14 @@ func (it *hashJoinIter) NextBatch() (*vec.Batch, error) {
 		}
 		it.curLeft = make(Row, it.leftWidth)
 		it.combined = make(Row, it.leftWidth+it.rightWidth)
+		it.curRow = -1
 	}
 	bl := vec.NewBuilder(it.outWidth(), it.batchSize)
 	for {
 		// Emit pending matches for the current probe row.
-		for it.curLeftActive && it.matchIdx < len(it.curMatches) {
-			r := it.curMatches[it.matchIdx]
-			it.matchIdx++
+		for it.curLeftActive && it.curRow >= 0 {
+			r := it.curTable.rows.at(int(it.curRow))
+			it.curRow = it.curTable.rowNext[it.curRow]
 			copy(it.combined, it.curLeft)
 			copy(it.combined[it.leftWidth:], r)
 			if it.residual != nil && !it.residual.eval(it.combined).IsTrue() {
@@ -368,7 +392,8 @@ func (it *hashJoinIter) NextBatch() (*vec.Batch, error) {
 				it.releaseBuild()
 				return bl.Flush(), nil // nil when empty: EOF
 			}
-			it.m.addProcessed(int64(b.Len()))
+			n := b.Len()
+			it.m.addProcessed(int64(n))
 			it.leftBatch, it.leftRowIdx = b, 0
 			if cap(it.leftKeyCols) < len(it.leftKeys) {
 				it.leftKeyCols = make([][]types.Value, len(it.leftKeys))
@@ -377,25 +402,31 @@ func (it *hashJoinIter) NextBatch() (*vec.Batch, error) {
 			for k, ev := range it.leftKeys {
 				it.leftKeyCols[k] = ev.eval(b)
 			}
+			if cap(it.leftHashes) < n {
+				it.leftHashes = make([]uint64, n)
+			}
+			it.leftHashes = it.leftHashes[:n]
+			vec.HashRows(it.leftKeyCols, it.leftHashes)
 			continue
 		}
 		i := it.leftRowIdx
 		it.leftRowIdx++
-		it.leftBatch.Gather(i, it.curLeft)
 		kv := it.keyVals[:0]
 		for k := range it.leftKeyCols {
 			kv = append(kv, it.leftKeyCols[k][i])
 		}
 		it.curLeftMatched = false
-		it.matchIdx = 0
-		if hasNull(kv) {
-			// NULL probe keys: no matches; LEFT JOIN still NULL-extends.
-			it.curMatches = nil
-			it.curLeftActive = it.kind == logical.LeftJoin
-			continue
+		it.curRow = -1
+		// NULL probe keys never match; a LEFT JOIN still NULL-extends them.
+		if !hasNull(kv) {
+			h := it.leftHashes[i]
+			it.curTable = it.tables[h%uint64(len(it.tables))]
+			it.curRow = it.curTable.match(h, kv)
 		}
-		it.curMatches = it.lookup(kv)
-		it.curLeftActive = len(it.curMatches) > 0 || it.kind == logical.LeftJoin
+		it.curLeftActive = it.curRow >= 0 || it.kind == logical.LeftJoin
+		if it.curLeftActive {
+			it.leftBatch.Gather(i, it.curLeft)
+		}
 	}
 }
 

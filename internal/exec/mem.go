@@ -24,8 +24,8 @@ const (
 	valueMemBase = 48
 	// rowMemBase covers the slice header plus allocator slack of one row.
 	rowMemBase = 32
-	// groupMemBase covers one aggregation group: struct, map entry, key
-	// string and order-slice slot.
+	// groupMemBase covers one aggregation group: struct, table entry and
+	// order-slice slot.
 	groupMemBase = 128
 	// aggStateMemBytes is the resident cost of one aggState (two embedded
 	// values plus counters).

@@ -73,14 +73,18 @@ func (p *WorkerPool) String() string {
 
 // shardBatch is one input batch as one shard of a hash-partitioned build
 // sees it: rows are the logical indices of b's active rows whose key hash
-// maps to the shard, ascending (nil for a single shard: every row); base is
-// the global input index of b's first active row; aux is the drive's prep
-// result for b, shared read-only by every shard.
+// maps to the shard, ascending (nil for a single shard: every row); hashes
+// holds the key hash of every active row of b, indexed by logical row; base
+// is the global input index of b's first active row; aux is the drive's
+// prep result for b. hashes and aux are shared read-only by every shard;
+// a consumer must not keep hashes past its call, since a single shard's
+// buffer is reused by the next batch.
 type shardBatch[T any] struct {
-	b    *vec.Batch
-	rows []int
-	base int64
-	aux  T
+	b      *vec.Batch
+	rows   []int
+	hashes []uint64
+	base   int64
+	aux    T
 }
 
 // count is the number of b's rows routed to the shard.
@@ -102,13 +106,15 @@ func (sb *shardBatch[T]) row(j int) int {
 // drainShards is the one drive of the engine's hash-partitioned builds (the
 // hash-join build and hash aggregation). It pulls in to exhaustion, charging
 // RowsProcessed once per batch, and calls prep once per non-empty batch with
-// one hash slot per active row, nil for a single shard; prep fills the
-// hashes and returns what the shards need of the batch. Shard p consumes
-// exactly the rows whose hash maps to p, in input order, so all rows of one
-// key reach one shard in the order a serial loop would see them.
+// one hash slot per active row; prep fills the hashes (which reach the
+// consumers as shardBatch.hashes, so a row is hashed once) and returns what
+// the shards need of the batch. Shard p consumes exactly the rows whose hash
+// maps to p, in input order, so all rows of one key reach one shard in the
+// order a serial loop would see them.
 //
-// A single shard runs inline on the caller's goroutine: no goroutine, no
-// pool slot, no hashing. With n > 1 shards every batch is broadcast to n
+// A single shard runs inline on the caller's goroutine — no goroutine, no
+// pool slot — and its hash slots are one buffer reused across batches. With
+// n > 1 shards every batch is broadcast to n
 // goroutines, each of which holds one pool slot while it works on one batch
 // (never while waiting on its channel, so stacked parallel operators cannot
 // starve each other into deadlock). shard(p) builds shard p's consumer on
@@ -120,6 +126,7 @@ func drainShards[T any](in BatchIterator, n int, pool *WorkerPool, m *Metrics,
 	if n <= 1 {
 		consume := shard(0)
 		var base int64
+		var hashes []uint64
 		for {
 			b, err := in.NextBatch()
 			if b == nil || err != nil {
@@ -130,28 +137,28 @@ func drainShards[T any](in BatchIterator, n int, pool *WorkerPool, m *Metrics,
 			if rows == 0 {
 				continue
 			}
-			if err := consume(shardBatch[T]{b: b, base: base, aux: prep(b, nil)}); err != nil {
+			if cap(hashes) < rows {
+				hashes = make([]uint64, rows)
+			}
+			hashes = hashes[:rows]
+			if err := consume(shardBatch[T]{b: b, hashes: hashes, base: base, aux: prep(b, hashes)}); err != nil {
 				return err
 			}
 			base += int64(rows)
 		}
 	}
-	type task struct {
-		shardBatch[T]
-		hashes []uint64
-	}
 	var firstErr atomic.Pointer[error]
 	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
-	chans := make([]chan task, n)
+	chans := make([]chan shardBatch[T], n)
 	var wg sync.WaitGroup
 	for p := range chans {
-		chans[p] = make(chan task, 2)
+		chans[p] = make(chan shardBatch[T], 2)
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			consume := shard(p)
 			var rows []int
-			for t := range chans[p] {
+			for sb := range chans[p] {
 				// After an error, keep draining without working so the
 				// reader never blocks.
 				if firstErr.Load() != nil {
@@ -159,13 +166,12 @@ func drainShards[T any](in BatchIterator, n int, pool *WorkerPool, m *Metrics,
 				}
 				pool.acquire()
 				rows = rows[:0]
-				for i, h := range t.hashes {
+				for i, h := range sb.hashes {
 					if h%uint64(n) == uint64(p) {
 						rows = append(rows, i)
 					}
 				}
 				if len(rows) > 0 {
-					sb := t.shardBatch
 					sb.rows = rows
 					if err := consume(sb); err != nil {
 						fail(err)
@@ -191,10 +197,10 @@ func drainShards[T any](in BatchIterator, n int, pool *WorkerPool, m *Metrics,
 			continue
 		}
 		hashes := make([]uint64, rows)
-		t := task{shardBatch: shardBatch[T]{b: b, base: base, aux: prep(b, hashes)}, hashes: hashes}
+		sb := shardBatch[T]{b: b, hashes: hashes, base: base, aux: prep(b, hashes)}
 		base += int64(rows)
 		for _, ch := range chans {
-			ch <- t
+			ch <- sb
 		}
 	}
 	for _, ch := range chans {

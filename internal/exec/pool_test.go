@@ -82,12 +82,10 @@ func TestDrainShards(t *testing.T) {
 			preps := 0
 			prep := func(b *vec.Batch, hashes []uint64) int {
 				preps++
-				if (hashes == nil) != (tc.shards == 1) {
-					t.Errorf("hashes nil = %v with %d shards", hashes == nil, tc.shards)
+				if len(hashes) != b.Len() {
+					t.Errorf("%d hash slots for a %d-row batch", len(hashes), b.Len())
 				}
-				if hashes != nil {
-					b.HashColumns([]int{0}, hashes)
-				}
+				b.HashColumns([]int{0}, hashes)
 				return b.Len()
 			}
 			// seen[p] records shard p's global indices in arrival order; it
@@ -110,7 +108,11 @@ func TestDrainShards(t *testing.T) {
 						if v != sb.base+int64(i) {
 							return fmt.Errorf("shard %d: row %d holds %d, base+row = %d", p, i, v, sb.base+int64(i))
 						}
-						if tc.shards > 1 && vec.HashKey([]types.Value{types.Int(v)})%uint64(tc.shards) != uint64(p) {
+						h := vec.HashKey([]types.Value{types.Int(v)})
+						if sb.hashes[i] != h {
+							return fmt.Errorf("row %d: consumer got hash %x, prep computed %x", v, sb.hashes[i], h)
+						}
+						if tc.shards > 1 && h%uint64(tc.shards) != uint64(p) {
 							return fmt.Errorf("row %d reached shard %d, not its hash's", v, p)
 						}
 						seen[p] = append(seen[p], v)

@@ -439,7 +439,7 @@ func bloomMay(bloom []uint64, h uint64) bool {
 
 // buildKeyStats is the published summary of one key position of a
 // completed hash-join build: the range of regular (non-NULL, non-NaN) key
-// values, whether NaN keys exist (they join under encodeKey equality), and
+// values, whether NaN keys exist (they join under keysEqual equality), and
 // a blocked bloom filter (nil for float keys, whose hash canonicalizes
 // NaN).
 type buildKeyStats struct {
@@ -493,7 +493,7 @@ func (sf *sidewaysFilter) check(p *storage.Partition) sidewaysVerdict {
 	if cst.NullCount == chunk.Count {
 		return sidewaysPrune
 	}
-	// A NaN probe value can only match a NaN build key (encodeKey equality).
+	// A NaN probe value can only match a NaN build key (keysEqual equality).
 	nanMatch := cst.HasNaN && st.hasNaN
 	if !cst.HasBounds {
 		// Every non-NULL probe value is NaN.
@@ -657,7 +657,7 @@ func probeScan(op logical.Operator) (*logical.Scan, []*logical.Project) {
 // anything else ends the walk), the join must drop unmatched probe rows
 // (inner/semi — a LEFT JOIN NULL-extends them, so nothing may be skipped),
 // and each attached key must resolve through pure column aliases to a scan
-// column of the same kind as the build key (encodeKey equality implies
+// column of the same kind as the build key (keysEqual equality implies
 // range-comparability only within a kind). prev is the probe scan's
 // registration snapshotted before the probe subtree build — an unchanged
 // record means a cache replay served the probe and no live scan exists.

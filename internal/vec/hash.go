@@ -26,12 +26,13 @@ func hashUint64(h uint64, x uint64) uint64 {
 }
 
 // HashValue folds one value into h. The discrimination mirrors the
-// executor's encoded group/join keys exactly: NULL hashes as its own tag,
-// strings by length-prefixed bytes, doubles by their bit pattern (NaN
-// payloads collapse to one canonical NaN, because the key encoding renders
-// every NaN identically), and every integer-payload kind (BIGINT, BOOLEAN,
-// DATE) under one shared tag. Two tuples with equal encoded keys therefore
-// always land in the same hash partition.
+// executor's key equality (keysEqual in internal/exec) exactly: NULL hashes
+// as its own tag, strings by length-prefixed bytes, doubles by their bit
+// pattern (NaN payloads collapse to one canonical NaN, because every NaN
+// equals every NaN as a key), and every integer-payload kind (BIGINT,
+// BOOLEAN, DATE) under one shared tag. Equal keys therefore always hash
+// equal, which is what lets the executor's hash tables key on the hash and
+// route rows to hash partitions by it.
 func HashValue(h uint64, v types.Value) uint64 {
 	switch {
 	case v.Null:
@@ -88,8 +89,8 @@ func (b *Batch) HashColumns(cols []int, out []uint64) {
 
 // HashRows writes one hash per row across logical column vectors (selection
 // already applied, as produced by batch evaluators); every vector must hold
-// len(out) values. The join build uses it to partition rows by evaluated
-// key expressions.
+// len(out) values. The hash join uses it on evaluated key expressions, to
+// partition and key its build rows and to look up its probe rows.
 func HashRows(cols [][]types.Value, out []uint64) {
 	for i := range out {
 		out[i] = fnvOffset64
