@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/rescache"
 	"repro/internal/storage"
 	"repro/internal/testgen"
 	"repro/internal/tpcds"
@@ -14,10 +15,10 @@ import (
 
 // This file is the result-cache differential harness: the same workloads
 // the shared-execution differential uses are replayed against an engine
-// with ResultCacheBytes set, and every run — cold, first warm (miss+offer),
-// repeat warm (hit), and post-Append warm (invalidated, recomputed, then
-// hit again) — must return byte-identical rows with exact BytesScanned and
-// RowsProcessed. Only Metrics.ResultCache (and the physical decode work)
+// with ResultCacheBytes set, and every run — cold, first warm (first sight,
+// uncaptured), second warm (miss+offer), third warm (hit), and post-Append
+// warm (invalidated, recomputed, then hit again) — must return
+// byte-identical rows with exact BytesScanned and RowsProcessed. Only Metrics.ResultCache (and the physical decode work)
 // may differ between a cold and a cached run.
 
 // rescacheTestStore builds a private testgen store. The shared
@@ -64,7 +65,7 @@ func runResultCacheDifferential(t *testing.T, seed int64) int64 {
 					t.Fatalf("seed %d %s %s: cache-off engine stamped ResultCache %+v", seed, cfg.name, phase, ref.Metrics.ResultCache)
 				}
 				want := exactRows(ref.Rows)
-				for run := 0; run < 2; run++ {
+				for run := 0; run < 3; run++ {
 					res, err := warm.Query(q)
 					if err != nil {
 						t.Fatalf("seed %d %s %s warm query %d run %d failed: %v\n%s", seed, cfg.name, phase, i, run, err, q)
@@ -92,7 +93,7 @@ func runResultCacheDifferential(t *testing.T, seed int64) int64 {
 		check("pre-append")
 		// The append invalidates every fact-table entry; warm runs must
 		// recompute against the new data, stay byte-identical to a fresh
-		// cold run, and re-admit so the second post-append run can hit.
+		// cold run, and re-admit so a later post-append run can hit.
 		if err := st.Append("fact", [][]Value{
 			{Int(3), Int(7), Int(55), Float(9.25), String("alpha"), Int(2)},
 			{Int(0), Int(11), Int(96), Float(123.5), String("delta"), Int(5)},
@@ -143,9 +144,28 @@ func FuzzDifferentialResultCache(f *testing.F) {
 	})
 }
 
+// firstSight runs q once on an engine whose cache has never seen it and
+// checks that the miss was built uncaptured: one deferred miss, nothing
+// offered, nothing admitted.
+func firstSight(t *testing.T, eng *Engine, st *storage.Store, q string) *Result {
+	t.Helper()
+	res, err := eng.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc := res.Metrics.ResultCache; rc.Misses != 1 || rc.Deferred != 1 || rc.AdmissionRejects != 0 {
+		t.Fatalf("first sight: ResultCache = %+v, want one deferred miss", rc)
+	}
+	if n, _ := rescache.For(st, eng.config.ResultCacheBytes).Stats(); n != 0 {
+		t.Fatalf("first sight admitted %d entries", n)
+	}
+	return res
+}
+
 // TestResultCacheAppendInvalidation walks the full entry lifecycle on one
-// deterministic query: miss+admit, hit, invalidation by an append to the
-// scanned table (with the recomputed result provably different), re-admit,
+// deterministic query: first sight (uncaptured), miss+admit, hit,
+// invalidation by an append to the scanned table (with the recomputed
+// result provably different), re-admit on the first miss after the append,
 // hit again — and an append to an unrelated table leaving the entry valid.
 func TestResultCacheAppendInvalidation(t *testing.T) {
 	st := rescacheTestStore(t)
@@ -161,6 +181,7 @@ func TestResultCacheAppendInvalidation(t *testing.T) {
 		}
 		return res
 	}
+	firstSight(t, warm, st, q)
 	r1 := query(warm)
 	if rc := r1.Metrics.ResultCache; rc.Hits != 0 || rc.Misses == 0 {
 		t.Fatalf("first run ResultCache = %+v, want a pure miss", rc)
@@ -184,7 +205,9 @@ func TestResultCacheAppendInvalidation(t *testing.T) {
 	}
 
 	// Append through the engine: the row passes the WHERE, so the cached
-	// aggregate is provably stale and the recomputation provably fresh.
+	// aggregate is provably stale and the recomputation provably fresh. The
+	// fingerprint was captured before, so its first miss after the append
+	// recaptures: no second warm-up.
 	if err := warm.Append("fact", [][]Value{
 		{Int(1), Int(4), Int(77), Float(3.25), String("beta"), Int(1)},
 	}); err != nil {
@@ -222,7 +245,8 @@ func TestResultCacheAppendInvalidation(t *testing.T) {
 	}
 }
 
-// TestResultCacheHitInsideFusedBatch primes the cache, then submits three
+// TestResultCacheHitInsideFusedBatch primes the cache (a first sight, then
+// the capturing run), then submits three
 // copies of the query concurrently to a ShareExec engine: every batch
 // member must be served from cache before grouping, with rows and logical
 // metrics identical to a solo run and both the ResultCache and the
@@ -243,6 +267,9 @@ func TestResultCacheHitInsideFusedBatch(t *testing.T) {
 		MaxFusedQueries:  3,
 		ResultCacheBytes: 1 << 20,
 	})
+	if got := exactRows(firstSight(t, eng, st, q).Rows); got != want {
+		t.Fatalf("first-sight run rows differ from solo:\n%s\nvs\n%s", got, want)
+	}
 	prime, err := eng.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -275,6 +302,61 @@ func TestResultCacheHitInsideFusedBatch(t *testing.T) {
 		sh := res.Metrics.SharedExec
 		if sh.BatchedQueries != 3 || sh.WindowWaits != 1 {
 			t.Fatalf("client %d: SharedExec = %+v, want the 3-member batch story", i, sh)
+		}
+	}
+}
+
+// TestResultCacheFusedFirstSight: members of a fused batch ask the same
+// capture policy as solo runs. A batch of first sights copies and offers
+// nothing; the next batch captures every member; the third is served from
+// cache. Rows match solo runs throughout.
+func TestResultCacheFusedFirstSight(t *testing.T) {
+	st := rescacheTestStore(t)
+	queries := []string{
+		"SELECT COUNT(*) AS c, SUM(f_qty) AS s FROM fact WHERE f_qty > 10",
+		"SELECT COUNT(*) AS c, SUM(f_qty) AS s FROM fact WHERE f_qty > 20",
+		"SELECT COUNT(*) AS c, SUM(f_qty) AS s FROM fact WHERE f_qty > 30",
+	}
+	solo := OpenWithStore(st, Config{})
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		res, err := solo.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = exactRows(res.Rows)
+	}
+	eng := OpenWithStore(st, Config{
+		ShareExec:        true,
+		AdmissionWindow:  sharedExecWindow,
+		MaxFusedQueries:  len(queries),
+		ResultCacheBytes: 1 << 20,
+	})
+	cache := rescache.For(st, 1<<20)
+	for round, wantRC := range []exec.ResultCacheMetrics{
+		{Misses: 1, Deferred: 1},
+		{Misses: 1},
+		{Hits: 1},
+	} {
+		results, errs := submitConcurrently(eng, queries)
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatalf("round %d client %d: %v", round, i, errs[i])
+			}
+			if got := exactRows(res.Rows); got != want[i] {
+				t.Fatalf("round %d client %d: rows differ from solo\ngot:\n%s\nwant:\n%s", round, i, got, want[i])
+			}
+			rc := res.Metrics.ResultCache
+			rc.ServedBytes, rc.EvictedBytes = 0, 0
+			if rc != wantRC {
+				t.Fatalf("round %d client %d: ResultCache = %+v, want %+v", round, i, res.Metrics.ResultCache, wantRC)
+			}
+			if round < 2 && res.Metrics.SharedExec.FusedPlans != int64(len(queries)) {
+				t.Fatalf("round %d client %d: SharedExec = %+v, want one fused plan for the batch", round, i, res.Metrics.SharedExec)
+			}
+		}
+		if n, _ := cache.Stats(); round == 0 && n != 0 {
+			t.Fatalf("a batch of first sights admitted %d entries", n)
 		}
 	}
 }
@@ -342,8 +424,8 @@ func TestResultCacheAppendQueryRace(t *testing.T) {
 	}
 }
 
-// TestDifferentialResultCacheTPCDS runs every TPC-DS query twice against a
-// caching engine and compares each run against a serial cache-off
+// TestDifferentialResultCacheTPCDS runs every TPC-DS query three times
+// (sight, capture, replay) against a caching engine and compares each run against a serial cache-off
 // reference: whatever sub-plans the cache admits, every replay must be
 // byte-identical with exact logical metrics, and the corpus as a whole must
 // produce hits.
@@ -361,7 +443,7 @@ func TestDifferentialResultCacheTPCDS(t *testing.T) {
 			t.Fatalf("%s reference failed: %v", q.Name, err)
 		}
 		want := exactRows(refRes.Rows)
-		for run := 0; run < 2; run++ {
+		for run := 0; run < 3; run++ {
 			res, err := warm.Query(q.SQL)
 			if err != nil {
 				t.Fatalf("%s warm run %d failed: %v", q.Name, run, err)

@@ -163,12 +163,14 @@ type Metrics struct {
 	Pipeline PipelineMetrics
 	// ResultCache counts semantic result-cache activity for this run
 	// (internal/rescache; all zero when Options.ResultCacheBytes is 0).
-	// Hits/Misses count eligible sub-plans probed, ServedBytes the cached
-	// result bytes replayed instead of recomputed, AdmissionRejects the
-	// computed results the cache declined, and EvictedBytes the entry bytes
-	// this run's admissions displaced. The logical counters above stay
-	// as-if-solo on a hit: the entry replays the exact Storage/RowsProcessed
-	// charges its original computation recorded.
+	// Hits/Misses count eligible sub-plans probed, Deferred the misses
+	// built uncaptured (a first sight, or a fingerprint whose last offer
+	// was too cheap to admit), ServedBytes the cached result bytes replayed
+	// instead of recomputed, AdmissionRejects the captured results the
+	// cache declined, and EvictedBytes the entry bytes this run's
+	// admissions displaced. The logical counters above stay as-if-solo on
+	// a hit: the entry replays the exact Storage/RowsProcessed charges its
+	// original computation recorded.
 	ResultCache ResultCacheMetrics
 	// SharedExec tells the physical story of cross-query shared execution
 	// (internal/xfuse) for this client's run. The logical counters above
@@ -206,6 +208,7 @@ type SharedExecMetrics struct {
 type ResultCacheMetrics struct {
 	Hits             int64
 	Misses           int64
+	Deferred         int64
 	AdmissionRejects int64
 	EvictedBytes     int64
 	ServedBytes      int64
@@ -346,10 +349,13 @@ type executor struct {
 	share *scanshare.Manager
 	// rcache is the store's semantic result cache, nil when
 	// Options.ResultCacheBytes is 0. rcDepth > 0 while building inside a
-	// capture or replay subtree, where nested probes are disabled (each
-	// query caches at most the topmost eligible sub-plan along any path).
-	rcache  *rescache.Cache
-	rcDepth int
+	// capture, rcUncaptured > 0 inside a missed sub-plan built uncaptured;
+	// either disables nested probes (each query probes at most the topmost
+	// eligible sub-plan along any path). Only rcDepth hides scan leaves
+	// from the layers above: an uncaptured build is the cache-off build.
+	rcache       *rescache.Cache
+	rcDepth      int
+	rcUncaptured int
 	// mempool is the resolved memory pool (opts.MemPool, or a private
 	// unlimited pool) and tracker this run's accounting handle; blocking
 	// operators reserve their resident state against it and register

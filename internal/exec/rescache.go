@@ -16,15 +16,17 @@ import (
 // Filter/Project chain over one Scan, optionally through one GroupBy) the
 // run either replays a cached result — skipping scan, decode and
 // evaluation while re-charging the exact as-if-solo logical metrics the
-// original computation recorded — or builds the subtree against a private
+// original computation recorded — or, on a miss the cache deems worth
+// capturing (rescache.Tx.Capture), builds the subtree against a private
 // Metrics sink and tees its output into a candidate entry, offering it for
-// cost-weighted admission at EOF.
+// cost-weighted admission at EOF. Any other miss is built exactly as with
+// the cache off.
 
-// buildResultCached returns (it, true, nil) when it intercepted op — either
-// a cache-hit replay or a capturing build. ok=false means the caller should
-// build op normally.
+// buildResultCached returns (it, true, nil) when it intercepted op — a
+// cache-hit replay or a miss build. ok=false means the caller should build
+// op normally.
 func (ex *executor) buildResultCached(op logical.Operator) (BatchIterator, bool, error) {
-	if ex.rcache == nil || ex.rcDepth > 0 || ex.noPush > 0 {
+	if ex.rcache == nil || ex.rcDepth > 0 || ex.rcUncaptured > 0 || ex.noPush > 0 {
 		return nil, false, nil
 	}
 	// Begin snapshots the table's partition-set signature BEFORE the
@@ -42,13 +44,23 @@ func (ex *executor) buildResultCached(op logical.Operator) (BatchIterator, bool,
 		return &rcReplayIter{rows: ent.Rows, width: len(op.Schema()), batchSize: ex.opts.BatchSize}, true, nil
 	}
 	ex.metrics.ResultCache.Misses++
+	if !tx.Capture() {
+		// Not worth a copy: build with the live metrics and depth, so the
+		// layers above configure the subtree's scans (sideways join
+		// filters) as they would with the cache off.
+		ex.metrics.ResultCache.Deferred++
+		ex.rcUncaptured++
+		it, err := ex.build(op)
+		ex.rcUncaptured--
+		return it, true, err
+	}
 
-	// Miss: build the subtree against a private Metrics so the entry's cost
-	// is exactly the sub-plan's own work. Iterators capture the *Metrics at
-	// build time, so swapping the pointer for the duration of the recursive
-	// build isolates every charge the subtree will ever make; rcDepth
-	// suppresses nested probes so each query caches at most the topmost
-	// eligible root along any path.
+	// Captured miss: build the subtree against a private Metrics so the
+	// entry's cost is exactly the sub-plan's own work. Iterators capture the
+	// *Metrics at build time, so swapping the pointer for the duration of
+	// the recursive build isolates every charge the subtree will ever make;
+	// rcDepth suppresses nested probes and hides the subtree's scans from
+	// the layers above, so the entry never depends on a join above it.
 	parent := ex.metrics
 	priv := &Metrics{}
 	ex.metrics = priv

@@ -516,6 +516,8 @@ func TestSkipWithResultCache(t *testing.T) {
 		s := scanOf(t, st, "fact")
 		return logical.NewFilter(s, expr.NewBinary(expr.OpGe, expr.Ref(s.ColumnFor("f_v")), expr.Lit(types.Int(300))))
 	}
+	// The first run only records the fingerprint; the second captures.
+	firstSight(t, st, mk(), opts)
 	miss, err := RunWith(mk(), st, opts)
 	if err != nil {
 		t.Fatal(err)

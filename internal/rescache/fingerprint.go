@@ -26,14 +26,25 @@ var (
 	internCols = make(map[string]*expr.Column)
 )
 
+// maxInternCols bounds the intern table. Every distinct projected or
+// aggregated expression interns a column, so fresh-literal workloads would
+// otherwise grow it forever. Clearing it when full is safe: a rendered
+// column carries its name and a never-reused ID, so a re-interned name only
+// renders a new fingerprint (a few misses), never a false hit.
+const maxInternCols = 4096
+
 // internCol returns the process-wide canonical column for a name: the same
-// name always resolves to the same *expr.Column (hence the same ID), which
-// is what makes rendered fingerprints stable across query instances.
+// name resolves to the same *expr.Column (hence the same ID) until the
+// table is cleared, which is what makes rendered fingerprints stable across
+// query instances.
 func internCol(name string, k types.Kind) *expr.Column {
 	internMu.Lock()
 	defer internMu.Unlock()
 	if c, ok := internCols[name]; ok {
 		return c
+	}
+	if len(internCols) >= maxInternCols {
+		clear(internCols)
 	}
 	c := expr.NewColumn(name, k)
 	internCols[name] = c

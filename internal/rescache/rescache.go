@@ -17,6 +17,12 @@
 // so a mutation racing the computation can at worst produce a dead entry,
 // never a stale hit.
 //
+// Capture is on second sight: a miss copies its result for an Offer only
+// when the fingerprint has missed before (Tx.Capture). Most fresh-literal
+// sub-plans never repeat, so a first miss runs uncaptured and pays nothing;
+// a fingerprint whose last offer fell below the admission floor is not
+// copied again until its table's partition set changes.
+//
 // Eviction is GreedyDual-Size: each entry carries priority H = clock +
 // cost/bytes; eviction removes the minimum-H entry and advances the clock
 // to its H, and hits refresh H against the current clock — cheap-to-
@@ -24,6 +30,7 @@
 package rescache
 
 import (
+	"hash/maphash"
 	"sync"
 
 	"repro/internal/logical"
@@ -82,11 +89,35 @@ type Cache struct {
 	// decode cost profile the adaptive admission floor is derived from.
 	obsBytes int64
 	obsRows  int64
+	// ghosts remembers the fingerprints that have missed, keyed by a hash
+	// of the fingerprint. A collision only changes a capture decision,
+	// never a served result.
+	ghosts map[uint64]ghost
 }
+
+// ghost is what the cache remembers of a fingerprint it has seen miss.
+// low marks one whose last offer was rejected for density; lowSig hashes
+// the partition-set signature that rejection was under (a hash, not the
+// signature: that is kilobytes on a fact table).
+type ghost struct {
+	low    bool
+	lowSig uint64
+}
+
+// maxGhosts bounds the ghost set; it is cleared when full, which at worst
+// defers a few repeating fingerprints' captures by one more miss.
+const maxGhosts = 4096
+
+var ghostSeed = maphash.MakeSeed()
 
 // New creates a cache bounded to capBytes of accounted result bytes.
 func New(capBytes int64) *Cache {
-	return &Cache{cap: capBytes, entries: make(map[string]*cacheEntry), sigs: make(map[string]string)}
+	return &Cache{
+		cap:     capBytes,
+		entries: make(map[string]*cacheEntry),
+		sigs:    make(map[string]string),
+		ghosts:  make(map[uint64]ghost),
+	}
 }
 
 // For resolves the store's shared result cache, creating it bounded to
@@ -111,8 +142,8 @@ func (c *Cache) Stats() (entries int, bytes int64) {
 // Tx is one sub-plan's cache interaction: Begin fingerprints the plan and
 // snapshots the scanned table's partition-set signature (before the caller
 // enumerates any partition — the ordering that makes capture race-safe),
-// Lookup probes for a valid entry, and Offer proposes a computed result
-// for admission.
+// Lookup probes for a valid entry, Capture decides whether a miss is worth
+// copying, and Offer proposes a computed result for admission.
 type Tx struct {
 	c     *Cache
 	store *storage.Store
@@ -162,6 +193,34 @@ func (tx *Tx) Lookup() (*Entry, bool) {
 	return &e.Entry, true
 }
 
+// Capture reports whether a missed sub-plan's result is worth copying for
+// an Offer; ask it after Lookup misses and before building anything. A
+// fingerprint's first miss is recorded and declined (the doorkeeper's
+// "admit on second sight"). Later misses capture — a captured fingerprint
+// stays recorded, so an entry an append invalidated recaptures on its
+// first miss after the append — except while the fingerprint's last offer
+// was rejected for density under the table's current partition set: the
+// same rows at the same cost would be rejected again.
+func (tx *Tx) Capture() bool {
+	c := tx.c
+	k := maphash.String(ghostSeed, tx.fp)
+	c.mu.Lock()
+	g, seen := c.ghosts[k]
+	if !seen {
+		c.noteGhostLocked(k, ghost{})
+	}
+	c.mu.Unlock()
+	return seen && (!g.low || g.lowSig != maphash.String(ghostSeed, tx.sig))
+}
+
+// noteGhostLocked records g for fingerprint hash k, clearing a full set.
+func (c *Cache) noteGhostLocked(k uint64, g ghost) {
+	if _, ok := c.ghosts[k]; !ok && len(c.ghosts) >= maxGhosts {
+		clear(c.ghosts)
+	}
+	c.ghosts[k] = g
+}
+
 // density is cost per byte, the admission criterion and the GDS priority
 // increment.
 func density(cost CostMetrics, bytes int64) float64 {
@@ -208,20 +267,26 @@ func (c *Cache) AdmissionFloor() float64 {
 // whether the entry was admitted and how many entry bytes were evicted to
 // make room; a rejection (cost density below the threshold, result too
 // large, or the table's partition set changed while the result was being
-// computed) evicts nothing.
+// computed) evicts nothing. A density rejection is remembered against the
+// current partition set, so Capture declines the fingerprint until its
+// table changes.
 func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitted bool, evictedBytes int64) {
 	c := tx.c
 	if bytes > c.MaxEntryBytes() {
 		return false, 0
 	}
+	k := maphash.String(ghostSeed, tx.fp)
 	// Observe this sub-plan's decode cost BEFORE deciding, so the floor
 	// reflects the workload being offered, not just what was admitted.
 	c.mu.Lock()
 	c.obsBytes += cost.BytesScanned
 	c.obsRows += cost.RowsScanned
-	floor := c.admissionFloorLocked()
+	cheap := density(cost, bytes) < c.admissionFloorLocked()
+	if cheap {
+		c.noteGhostLocked(k, ghost{low: true, lowSig: maphash.String(ghostSeed, tx.sig)})
+	}
 	c.mu.Unlock()
-	if density(cost, bytes) < floor {
+	if cheap {
 		return false, 0
 	}
 	// Snapshot validation: if the partition set changed since Begin, the
@@ -253,6 +318,7 @@ func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitt
 		h:     c.clock + density(cost, bytes),
 	}
 	c.bytes += bytes
+	c.noteGhostLocked(k, ghost{})
 	return true, evictedBytes
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/engine"
+	"repro/internal/rescache"
 	"repro/internal/testgen"
 	"repro/internal/types"
 )
@@ -35,6 +36,19 @@ func TestIngestOverWire(t *testing.T) {
 	defer cl.Close()
 	ctx := context.Background()
 	const q = "SELECT COUNT(*) AS c, SUM(f_qty) AS s FROM fact WHERE f_qty > 10"
+
+	// Warm-up: the cache's first sight of q builds it uncaptured, so the
+	// first wire query below is the capturing one.
+	warm, err := eng.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc := warm.Metrics.ResultCache; rc.Misses != 1 || rc.Deferred != 1 || rc.AdmissionRejects != 0 {
+		t.Fatalf("first sight: ResultCache = %+v, want one deferred miss", rc)
+	}
+	if n, _ := rescache.For(st, 1<<20).Stats(); n != 0 {
+		t.Fatalf("first sight admitted %d entries", n)
+	}
 
 	r1, err := cl.Query(ctx, q)
 	if err != nil {

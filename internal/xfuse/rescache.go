@@ -58,16 +58,24 @@ func (r *Runner) probeCache(live []*entry, batched int64) []*entry {
 }
 
 // offerResult proposes one member's fused-run output for cache admission
-// and records the interaction (the probe's miss, any rejection or eviction)
-// in the member's as-if-solo metrics. The offered cost is the member's
-// stamped logical work, so a later hit replays exactly what a cold solo run
-// would charge; rows are copied because cache entries must stay immutable
-// while the member's result is handed to its client.
+// and records the interaction (the probe's miss, any deferral, rejection or
+// eviction) in the member's as-if-solo metrics. The capture decision is
+// asked here rather than at probe time: only members that ran fused reach
+// this point, and a member released to the solo path is decided by its own
+// executor's probe, which would otherwise see its first miss twice. A
+// deferred member copies and offers nothing. The offered cost is the
+// member's stamped logical work, so a later hit replays exactly what a
+// cold solo run would charge; rows are copied because cache entries must
+// stay immutable while the member's result is handed to its client.
 func offerResult(e *entry, m *exec.Metrics, rows []exec.Row) {
 	if e.rctx == nil {
 		return
 	}
 	m.ResultCache.Misses++
+	if !e.rctx.Capture() {
+		m.ResultCache.Deferred++
+		return
+	}
 	cp := make([][]types.Value, len(rows))
 	var bytes int64
 	for i, row := range rows {

@@ -186,8 +186,8 @@ type entry struct {
 	abandoned atomic.Bool
 	// rctx is this entry's result-cache transaction: begun at probe time
 	// (before the fused run enumerates partitions) when the probe missed,
-	// consumed by the post-run offer. nil when the cache is off, the plan
-	// is ineligible, or the probe hit.
+	// consumed by the post-run capture decision and offer. nil when the
+	// cache is off, the plan is ineligible, or the probe hit.
 	rctx *rescache.Tx
 }
 
