@@ -468,7 +468,7 @@ func (ex *executor) build(op logical.Operator) (BatchIterator, error) {
 	case *logical.UnionAll:
 		return ex.buildUnion(o)
 	case *logical.Values:
-		return &valuesIter{rows: o.Rows, width: len(o.Schema()), batchSize: ex.opts.BatchSize}, nil
+		return &rowsBatcher{rows: o.Rows, width: len(o.Schema()), batchSize: ex.opts.BatchSize}, nil
 	case *logical.Sort:
 		return ex.buildSort(o)
 	case *logical.Limit:
@@ -541,8 +541,8 @@ func drainRowsTracked(in BatchIterator, width int, m *Metrics, tracker *memctl.T
 	}
 }
 
-// rowsBatcher re-emits materialized rows as dense batches. When a tracker
-// is set, each row's reservation is released as it is emitted: the owning
+// rowsBatcher re-emits materialized rows (a sort buffer, a VALUES list, a
+// cached result) as dense batches. When a tracker is set, each row's reservation is released as it is emitted: the owning
 // operator is done and unregistered, and holding the full buffer's budget
 // through emission would starve downstream consumers.
 type rowsBatcher struct {

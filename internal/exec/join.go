@@ -243,7 +243,7 @@ func (it *hashJoinIter) buildTable() error {
 	shards := max(1, it.workers)
 	it.keyVals = make([]types.Value, len(it.rightKeys))
 	it.tables = make([]*joinTable, shards)
-	shardAccs := make([][]*keyAccum, shards)
+	shardAccs := make([][]keyAccum, shards)
 	prep := func(b *vec.Batch, hashes []uint64) [][]types.Value {
 		keyCols := make([][]types.Value, len(it.rightKeys))
 		for k, ev := range it.rightKeys {
@@ -258,7 +258,7 @@ func (it *hashJoinIter) buildTable() error {
 	shard := func(p int) func(shardBatch[[][]types.Value]) error {
 		table := newJoinTable(len(it.rightKeys), it.rightWidth)
 		it.tables[p] = table
-		accs := it.newKeyAccums()
+		accs := make([]keyAccum, len(it.sideways))
 		shardAccs[p] = accs
 		kv := make([]types.Value, len(it.rightKeys))
 		return func(sb shardBatch[[][]types.Value]) error {
@@ -295,28 +295,15 @@ func (it *hashJoinIter) buildTable() error {
 		return err
 	}
 	for _, accs := range shardAccs[1:] {
-		for si, a := range accs {
-			shardAccs[0][si].merge(a)
+		for si := range accs {
+			shardAccs[0][si].merge(&accs[si])
 		}
 	}
 	for si, sf := range it.sideways {
-		shardAccs[0][si].publish(sf)
+		sf.state.Store(&shardAccs[0][si])
 	}
 	it.built = true
 	return nil
-}
-
-// newKeyAccums creates one build-key accumulator per attached sideways
-// filter; nil when sideways skipping is off for this join.
-func (it *hashJoinIter) newKeyAccums() []*keyAccum {
-	if len(it.sideways) == 0 {
-		return nil
-	}
-	accs := make([]*keyAccum, len(it.sideways))
-	for si, sf := range it.sideways {
-		accs[si] = newKeyAccum(sf.kind)
-	}
-	return accs
 }
 
 // releaseBuild returns the build table's reservation once probing is done

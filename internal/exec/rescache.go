@@ -41,7 +41,7 @@ func (ex *executor) buildResultCached(op logical.Operator) (BatchIterator, bool,
 		ex.metrics.ResultCache.Hits++
 		ex.metrics.ResultCache.ServedBytes += ent.Bytes
 		chargeCost(ex.metrics, ent.Cost)
-		return &rcReplayIter{rows: ent.Rows, width: len(op.Schema()), batchSize: ex.opts.BatchSize}, true, nil
+		return &rowsBatcher{rows: ent.Rows, width: len(op.Schema()), batchSize: ex.opts.BatchSize}, true, nil
 	}
 	ex.metrics.ResultCache.Misses++
 	if !tx.Capture() {
@@ -80,15 +80,14 @@ func (ex *executor) buildResultCached(op logical.Operator) (BatchIterator, bool,
 }
 
 // chargeCost replays an entry's as-if-solo logical charges onto m. The
-// physical counters (Share, Pipeline) stay untouched: a hit performs no
-// decode and compiles no pipeline, and those counters report what actually
-// ran.
+// physical counters (Share, Pipeline, MaskPrefixHits) stay untouched: a hit
+// performs no decode, compiles no pipeline and evaluates no mask, and those
+// counters report what actually ran.
 func chargeCost(m *Metrics, c rescache.CostMetrics) {
 	m.Storage.AddBytes(c.BytesScanned)
 	m.Storage.AddRows(c.RowsScanned)
 	m.addProcessed(c.RowsProcessed)
 	m.addHashRows(c.HashRows)
-	m.addMaskPrefixHits(c.MaskPrefixHits)
 }
 
 // absorb folds the private capture counters into the parent metrics so a
@@ -112,26 +111,24 @@ func absorb(parent, priv *Metrics) {
 	// correctly reports zero prunes (chargeCost leaves Skip untouched).
 	parent.addChunksPruned(atomic.LoadInt64(&priv.Skip.ChunksPruned))
 	parent.addPartitionsPruned(atomic.LoadInt64(&priv.Skip.PartitionsPruned))
-	parent.addBloomPruned(atomic.LoadInt64(&priv.Skip.BloomPruned))
 	parent.addPrunedBytes(atomic.LoadInt64(&priv.Skip.PrunedBytes))
 }
 
 // costOf extracts an entry's cost metrics from a drained private capture.
 func costOf(priv *Metrics) rescache.CostMetrics {
 	return rescache.CostMetrics{
-		BytesScanned:   atomic.LoadInt64(&priv.Storage.BytesScanned),
-		RowsScanned:    atomic.LoadInt64(&priv.Storage.RowsScanned),
-		RowsProcessed:  atomic.LoadInt64(&priv.RowsProcessed),
-		HashRows:       atomic.LoadInt64(&priv.HashRows),
-		MaskPrefixHits: atomic.LoadInt64(&priv.MaskPrefixHits),
+		BytesScanned:  atomic.LoadInt64(&priv.Storage.BytesScanned),
+		RowsScanned:   atomic.LoadInt64(&priv.Storage.RowsScanned),
+		RowsProcessed: atomic.LoadInt64(&priv.RowsProcessed),
+		HashRows:      atomic.LoadInt64(&priv.HashRows),
 	}
 }
 
 // rcTeeIter streams the captured subtree's batches through unchanged while
 // materializing a copy of every row. At EOF it offers the materialized
 // result for admission; a result growing past the cache's per-entry bound
-// abandons capture (the stream continues) and counts as an admission
-// rejection.
+// abandons the copy (the stream continues) and offers no rows, only its
+// over-limit byte count, so the cache rejects it and remembers why.
 type rcTeeIter struct {
 	in        BatchIterator
 	tx        *rescache.Tx
@@ -189,45 +186,24 @@ func (t *rcTeeIter) NextBatch() (*vec.Batch, error) {
 func (t *rcTeeIter) finish() {
 	t.once.Do(func() {
 		if t.eof {
-			if t.abandoned {
-				t.parent.ResultCache.AdmissionRejects++
-			} else {
+			var rows [][]types.Value
+			if !t.abandoned {
 				// Each row's capacity ends at its width, so no consumer can
 				// append into its neighbour in the shared slab.
-				rows := make([][]types.Value, 0, t.nrows)
+				rows = make([][]types.Value, 0, t.nrows)
 				w := t.width
 				for _, s := range t.slabs {
 					for i := 0; i < s.n; i++ {
 						rows = append(rows, s.vals[i*w:(i+1)*w:(i+1)*w])
 					}
 				}
-				admitted, evicted := t.tx.Offer(rows, t.bytes, costOf(t.priv))
-				if !admitted {
-					t.parent.ResultCache.AdmissionRejects++
-				}
-				t.parent.ResultCache.EvictedBytes += evicted
 			}
+			admitted, evicted := t.tx.Offer(rows, t.bytes, costOf(t.priv))
+			if !admitted {
+				t.parent.ResultCache.AdmissionRejects++
+			}
+			t.parent.ResultCache.EvictedBytes += evicted
 		}
 		absorb(t.parent, t.priv)
 	})
-}
-
-// rcReplayIter serves a cached result as dense batches.
-type rcReplayIter struct {
-	rows      [][]types.Value
-	width     int
-	batchSize int
-	idx       int
-}
-
-func (it *rcReplayIter) NextBatch() (*vec.Batch, error) {
-	if it.idx >= len(it.rows) {
-		return nil, nil
-	}
-	bl := vec.NewBuilder(it.width, it.batchSize)
-	for it.idx < len(it.rows) && !bl.Full() {
-		bl.Append(it.rows[it.idx])
-		it.idx++
-	}
-	return bl.Flush(), nil
 }

@@ -16,6 +16,8 @@ import (
 // with no spare capacity (so no consumer can append into a neighbour in the
 // shared slab), and the entry's Bytes the sum of RowBytes over those rows.
 // The capture is the second run: a first sight only records the fingerprint.
+// A hit on a masked aggregation then replays the logical cost but reports
+// no MaskPrefixHits, a physical counter of work the hit did not do.
 func TestResultCacheCaptureRows(t *testing.T) {
 	st := skipFixture(t, []int64{1})
 	opts := Options{Parallelism: 2, BatchSize: 3, ResultCacheBytes: 1 << 20}
@@ -52,6 +54,73 @@ func TestResultCacheCaptureRows(t *testing.T) {
 	}
 	if ent.Bytes != bytes {
 		t.Fatalf("entry accounts %d bytes, rows hold %d", ent.Bytes, bytes)
+	}
+
+	masked := func() logical.Operator {
+		s := scanOf(t, st, "fact")
+		v, w := expr.Ref(s.ColumnFor("f_v")), expr.Ref(s.ColumnFor("f_w"))
+		prefix := expr.NewBinary(expr.OpGe, v, expr.Lit(types.Int(100)))
+		sum := expr.AggCall{Fn: expr.AggSum, Arg: w, Mask: expr.And(prefix, expr.NewBinary(expr.OpGt, w, expr.Lit(types.Int(10))))}
+		cnt := expr.AggCall{Fn: expr.AggCountStar, Mask: expr.And(prefix, expr.NewBinary(expr.OpLe, w, expr.Lit(types.Int(10))))}
+		return &logical.GroupBy{Input: s, Aggs: []logical.AggAssign{
+			{Col: expr.NewColumn("s", sum.ResultType()), Agg: sum},
+			{Col: expr.NewColumn("c", cnt.ResultType()), Agg: cnt},
+		}}
+	}
+	var runs []*Result
+	for range 3 { // first sight, capture, hit
+		res, err := RunWith(masked(), st, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, res)
+	}
+	miss, hit := runs[1], runs[2]
+	if miss.Metrics.ResultCache.Misses != 1 || miss.Metrics.ResultCache.Deferred != 0 || hit.Metrics.ResultCache.Hits != 1 {
+		t.Fatalf("masked aggregation: capture %+v, hit %+v", miss.Metrics.ResultCache, hit.Metrics.ResultCache)
+	}
+	if rowsKey(hit.Rows) != rowsKey(miss.Rows) || hit.Metrics.RowsProcessed != miss.Metrics.RowsProcessed {
+		t.Fatal("masked aggregation: the hit does not replay the capture run")
+	}
+	if miss.Metrics.MaskPrefixHits == 0 || hit.Metrics.MaskPrefixHits != 0 {
+		t.Fatalf("MaskPrefixHits: capture %d, hit %d; want the capture only", miss.Metrics.MaskPrefixHits, hit.Metrics.MaskPrefixHits)
+	}
+}
+
+// TestSizeRejectRemembered: a result past MaxEntryBytes is copied and
+// rejected once; with its table unchanged, the next miss of the same
+// fingerprint is built uncaptured, as with the cache off.
+func TestSizeRejectRemembered(t *testing.T) {
+	st := skipFixture(t, []int64{1})
+	// MaxEntryBytes is a quarter of 4 KiB; the result is 20 rows of 5 values.
+	opts := Options{Parallelism: 2, ResultCacheBytes: 4 << 10}
+	mk := func() logical.Operator {
+		s := scanOf(t, st, "fact")
+		return logical.NewFilter(s, expr.NewBinary(expr.OpGe, expr.Ref(s.ColumnFor("f_w")), expr.Lit(types.Int(20))))
+	}
+	ref, err := RunWith(mk(), st, Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstSight(t, st, mk(), opts)
+	for run, want := range []ResultCacheMetrics{
+		{Misses: 1, AdmissionRejects: 1},
+		{Misses: 1, Deferred: 1},
+	} {
+		res, err := RunWith(mk(), st, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics.ResultCache != want {
+			t.Fatalf("run %d: ResultCache = %+v, want %+v", run, res.Metrics.ResultCache, want)
+		}
+		if rowsKey(res.Rows) != rowsKey(ref.Rows) || res.Metrics.Storage != ref.Metrics.Storage ||
+			res.Metrics.RowsProcessed != ref.Metrics.RowsProcessed {
+			t.Fatalf("run %d: rows or logical metrics diverge from the cache-off run", run)
+		}
+	}
+	if n, _ := rescache.For(st, opts.ResultCacheBytes).Stats(); n != 0 {
+		t.Fatalf("oversized result admitted: %d entries", n)
 	}
 }
 

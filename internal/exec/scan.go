@@ -139,25 +139,6 @@ func (it *scanIter) NextBatch() (*vec.Batch, error) {
 	}
 }
 
-type valuesIter struct {
-	rows      [][]types.Value
-	width     int
-	batchSize int
-	idx       int
-}
-
-func (it *valuesIter) NextBatch() (*vec.Batch, error) {
-	if it.idx >= len(it.rows) {
-		return nil, nil
-	}
-	bl := vec.NewBuilder(it.width, it.batchSize)
-	for it.idx < len(it.rows) && !bl.Full() {
-		bl.Append(it.rows[it.idx])
-		it.idx++
-	}
-	return bl.Flush(), nil
-}
-
 type limitIter struct {
 	in        BatchIterator
 	remaining int64

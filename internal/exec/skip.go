@@ -7,14 +7,13 @@ import (
 	"repro/internal/logical"
 	"repro/internal/storage"
 	"repro/internal/types"
-	"repro/internal/vec"
 )
 
 // Data skipping. Storage chunks carry write-time zone maps
 // (storage.ChunkStats: min/max, null count, NaN flag); this file turns the
 // scan predicates that reach a leaf — the chain's own conjuncts, the
 // mask-family shared-prefix conjuncts of a fused run, and sideways min/max
-// + bloom filters published by hash-join builds — into per-partition prune
+// filters published by hash-join builds — into per-partition prune
 // decisions evaluated BEFORE decode.
 //
 // The contract that keeps every differential in the repo green: pruning
@@ -38,8 +37,9 @@ type SkipMetrics struct {
 	// PartitionsPruned the partitions they belong to.
 	ChunksPruned     int64
 	PartitionsPruned int64
-	// BloomPruned counts partitions pruned by a sideways bloom filter
-	// (min/max overlapped but no build key could match).
+	// BloomPruned is always zero: it counted partitions pruned by a
+	// sideways bloom filter, which no longer exists. Kept because the
+	// benchmark's report reads it.
 	BloomPruned int64
 	// PrunedBytes is the encoded payload bytes whose decode was skipped —
 	// still charged to BytesScanned, no longer paid in decode work.
@@ -48,7 +48,6 @@ type SkipMetrics struct {
 
 func (m *Metrics) addChunksPruned(n int64)     { atomic.AddInt64(&m.Skip.ChunksPruned, n) }
 func (m *Metrics) addPartitionsPruned(n int64) { atomic.AddInt64(&m.Skip.PartitionsPruned, n) }
-func (m *Metrics) addBloomPruned(n int64)      { atomic.AddInt64(&m.Skip.BloomPruned, n) }
 func (m *Metrics) addPrunedBytes(n int64)      { atomic.AddInt64(&m.Skip.PrunedBytes, n) }
 
 // skipCheck is one compiled zone-map test: prunable reports whether the
@@ -77,9 +76,8 @@ type skipController struct {
 	// FilterPos+2 for predicate checks (scan emit + stages up to and
 	// including the filter), 2+numProjects for sideways filters (scan emit
 	// + projects + join probe input).
-	factor   int64
-	checks   []skipCheck
-	sideways []*sidewaysFilter
+	factor int64
+	checks []skipCheck
 }
 
 // configure installs predicate-driven zone checks and their recharge
@@ -93,7 +91,7 @@ func (sc *skipController) configure(factor int64, checks []skipCheck) {
 }
 
 func (sc *skipController) active() bool {
-	return sc != nil && (len(sc.checks) > 0 || len(sc.sideways) > 0)
+	return sc != nil && len(sc.checks) > 0
 }
 
 // shouldPrune decides whether the partition's survivor set is provably
@@ -103,7 +101,7 @@ func (sc *skipController) shouldPrune(p *storage.Partition) bool {
 	if !sc.active() {
 		return false
 	}
-	pruned, byBloom := false, false
+	pruned := false
 	for _, ck := range sc.checks {
 		chunk := p.Chunk(ck.col)
 		if chunk == nil {
@@ -119,26 +117,10 @@ func (sc *skipController) shouldPrune(p *storage.Partition) bool {
 		}
 	}
 	if !pruned {
-		for _, sf := range sc.sideways {
-			switch sf.check(p) {
-			case sidewaysPrune:
-				pruned = true
-			case sidewaysPruneBloom:
-				pruned, byBloom = true, true
-			}
-			if pruned {
-				break
-			}
-		}
-	}
-	if !pruned {
 		return false
 	}
 	sc.m.addPartitionsPruned(1)
 	sc.m.addChunksPruned(int64(len(sc.cols)))
-	if byBloom {
-		sc.m.addBloomPruned(1)
-	}
 	var bytes int64
 	for _, c := range sc.cols {
 		if ch := p.Chunk(c); ch != nil {
@@ -423,154 +405,16 @@ func cmpPrunable(st *storage.ChunkStats, count int, op expr.BinOp, lit types.Val
 
 // ---- Sideways join filters ----
 
-// bloomWords sizes the blocked bloom filter over build keys: 1<<14 bits in
-// 256 words. Fixed so parallel build shards can OR-merge their filters.
-const bloomWords = 256
-
-func bloomSet(bloom []uint64, h uint64) {
-	bits := uint64(1)<<(h&63) | uint64(1)<<((h>>6)&63)
-	bloom[(h>>32)%bloomWords] |= bits
-}
-
-func bloomMay(bloom []uint64, h uint64) bool {
-	bits := uint64(1)<<(h&63) | uint64(1)<<((h>>6)&63)
-	return bloom[(h>>32)%bloomWords]&bits == bits
-}
-
-// buildKeyStats is the published summary of one key position of a
-// completed hash-join build: the range of regular (non-NULL, non-NaN) key
-// values, whether NaN keys exist (they join under keysEqual equality), and
-// a blocked bloom filter (nil for float keys, whose hash canonicalizes
-// NaN).
-type buildKeyStats struct {
-	hasRows   bool
-	hasBounds bool
-	min, max  types.Value
-	hasNaN    bool
-	bloom     []uint64
-}
-
-type sidewaysVerdict uint8
-
-const (
-	sidewaysPass sidewaysVerdict = iota
-	sidewaysPrune
-	sidewaysPruneBloom
-)
-
-// sidewaysFilter connects one hash-join build key position to the probe
-// scan column it equi-joins against. state is nil until the build
-// completes — probe workers that outrun the build simply do not prune.
-// (They cannot: hashJoinIter drains its build before the first probe
-// pull, and probe iterators start lazily.)
-type sidewaysFilter struct {
-	col    string // probe-side scan column
-	keyPos int    // build key position (index into rightKeys)
-	kind   types.Kind
-	state  atomic.Pointer[buildKeyStats]
-}
-
-// check decides whether the probe partition can contain any row whose key
-// matches a build key. A NULL probe key never matches (and the attaching
-// join kinds, inner and semi, drop unmatched rows), so all-NULL chunks
-// prune unconditionally once the build is known.
-func (sf *sidewaysFilter) check(p *storage.Partition) sidewaysVerdict {
-	st := sf.state.Load()
-	if st == nil {
-		return sidewaysPass
-	}
-	if !st.hasRows {
-		return sidewaysPrune // empty build side: nothing ever matches
-	}
-	chunk := p.Chunk(sf.col)
-	if chunk == nil {
-		return sidewaysPass
-	}
-	cst := chunk.Stats()
-	if cst == nil {
-		return sidewaysPass
-	}
-	if cst.NullCount == chunk.Count {
-		return sidewaysPrune
-	}
-	// A NaN probe value can only match a NaN build key (keysEqual equality).
-	nanMatch := cst.HasNaN && st.hasNaN
-	if !cst.HasBounds {
-		// Every non-NULL probe value is NaN.
-		if nanMatch {
-			return sidewaysPass
-		}
-		return sidewaysPrune
-	}
-	if !st.hasBounds {
-		// Build has rows but no regular-valued keys (all NaN).
-		if nanMatch {
-			return sidewaysPass
-		}
-		return sidewaysPrune
-	}
-	if types.Compare(cst.Max, st.min) < 0 || types.Compare(cst.Min, st.max) > 0 {
-		if nanMatch {
-			return sidewaysPass
-		}
-		return sidewaysPrune
-	}
-	if st.bloom != nil {
-		if miss, decided := bloomDisjoint(st.bloom, cst); decided && miss && !nanMatch {
-			return sidewaysPruneBloom
-		}
-	}
-	return sidewaysPass
-}
-
-// bloomDisjoint tests whether NO value the chunk can contain is possibly
-// present in the build bloom. Integer-family chunks enumerate their value
-// domain when the span is small; string chunks decide only the
-// single-value case. decided=false means the domain was too wide to test.
-func bloomDisjoint(bloom []uint64, cst *storage.ChunkStats) (miss, decided bool) {
-	var scratch [1]types.Value
-	switch cst.Min.Kind {
-	case types.KindInt64, types.KindDate, types.KindBool:
-		lo, hi := cst.Min.I, cst.Max.I
-		if span := hi - lo; span < 0 || span >= 1024 {
-			return false, false
-		}
-		for v := lo; v <= hi; v++ {
-			scratch[0] = types.Value{Kind: cst.Min.Kind, I: v}
-			if bloomMay(bloom, vec.HashKey(scratch[:])) {
-				return false, true
-			}
-		}
-		return true, true
-	case types.KindString:
-		if cst.Min.S != cst.Max.S {
-			return false, false
-		}
-		scratch[0] = cst.Min
-		return !bloomMay(bloom, vec.HashKey(scratch[:])), true
-	}
-	return false, false
-}
-
-// keyAccum accumulates build-side key statistics during table insertion;
-// every build shard keeps one per key position, and the shards' summaries
-// merge into shard 0's once the drain is done.
+// keyAccum summarizes one key position of a hash-join build: the range of
+// regular (non-NULL, non-NaN) key values and whether NaN keys exist (they
+// join under keysEqual equality). Every build shard accumulates one per
+// key position; the shards' summaries merge into shard 0's, which the
+// build publishes to its sidewaysFilter once the drain is done.
 type keyAccum struct {
-	kind      types.Kind
 	hasRows   bool
 	hasBounds bool
 	min, max  types.Value
 	hasNaN    bool
-	bloom     []uint64
-	scratch   [1]types.Value
-}
-
-func newKeyAccum(kind types.Kind) *keyAccum {
-	a := &keyAccum{kind: kind}
-	if kind != types.KindFloat64 {
-		a.bloom = make([]uint64, bloomWords)
-	}
-	return a
 }
 
 // observe records one inserted (non-NULL-key) build row's key value.
@@ -580,58 +424,63 @@ func (a *keyAccum) observe(v types.Value) {
 		a.hasNaN = true
 		return
 	}
+	a.widen(v, v)
+}
+
+// widen extends the bounds to cover [lo, hi].
+func (a *keyAccum) widen(lo, hi types.Value) {
 	if !a.hasBounds {
-		a.min, a.max, a.hasBounds = v, v, true
-	} else {
-		if types.Compare(v, a.min) < 0 {
-			a.min = v
-		}
-		if types.Compare(v, a.max) > 0 {
-			a.max = v
-		}
+		a.min, a.max, a.hasBounds = lo, hi, true
+		return
 	}
-	if a.bloom != nil {
-		a.scratch[0] = v
-		bloomSet(a.bloom, vec.HashKey(a.scratch[:]))
+	if types.Compare(lo, a.min) < 0 {
+		a.min = lo
+	}
+	if types.Compare(hi, a.max) > 0 {
+		a.max = hi
 	}
 }
 
 func (a *keyAccum) merge(b *keyAccum) {
-	if b == nil || !b.hasRows {
+	if !b.hasRows {
 		return
 	}
 	a.hasRows = true
 	a.hasNaN = a.hasNaN || b.hasNaN
 	if b.hasBounds {
-		if !a.hasBounds {
-			a.min, a.max, a.hasBounds = b.min, b.max, true
-		} else {
-			if types.Compare(b.min, a.min) < 0 {
-				a.min = b.min
-			}
-			if types.Compare(b.max, a.max) > 0 {
-				a.max = b.max
-			}
-		}
-	}
-	if a.bloom != nil && b.bloom != nil {
-		for i := range a.bloom {
-			a.bloom[i] |= b.bloom[i]
-		}
+		a.widen(b.min, b.max)
 	}
 }
 
-// publish installs the accumulated summary into the filter, enabling
-// probe-side pruning from this point on.
-func (a *keyAccum) publish(sf *sidewaysFilter) {
-	sf.state.Store(&buildKeyStats{
-		hasRows:   a.hasRows,
-		hasBounds: a.hasBounds,
-		min:       a.min,
-		max:       a.max,
-		hasNaN:    a.hasNaN,
-		bloom:     a.bloom,
-	})
+// sidewaysFilter connects one hash-join build key position to the probe
+// scan column it equi-joins against; its prunable method is that column's
+// skipCheck. state is nil until the build completes — probe workers that
+// outrun the build simply do not prune. (They cannot: hashJoinIter drains
+// its build before the first probe pull, and probe iterators start
+// lazily.)
+type sidewaysFilter struct {
+	keyPos int // build key position (index into rightKeys)
+	state  atomic.Pointer[keyAccum]
+}
+
+// prunable decides whether a probe chunk can hold no row whose key
+// matches a build key. A NULL probe key never matches (and the attaching
+// join kinds, inner and semi, drop unmatched rows), so all-NULL chunks
+// prune once the build is known; a NaN probe value can match only a NaN
+// build key.
+func (sf *sidewaysFilter) prunable(cst *storage.ChunkStats, count int) bool {
+	st := sf.state.Load()
+	switch {
+	case st == nil:
+		return false
+	case !st.hasRows, cst.NullCount == count:
+		return true // empty build side, or an all-NULL probe chunk
+	case cst.HasNaN && st.hasNaN:
+		return false
+	case !cst.HasBounds, !st.hasBounds:
+		return true // every non-NULL value on one side is NaN
+	}
+	return types.Compare(cst.Max, st.min) < 0 || types.Compare(cst.Min, st.max) > 0
 }
 
 // probeScan recognizes a join's probe subtree as a pure Project* chain
@@ -651,10 +500,13 @@ func probeScan(op logical.Operator) (*logical.Scan, []*logical.Project) {
 	}
 }
 
-// attachSideways wires a hash join's build keys into the probe-side scan's
-// controller. The probe subtree must be a pure Project* chain over one
-// Scan (a Filter would make unmatched-row elimination observable upstream;
-// anything else ends the walk), the join must drop unmatched probe rows
+// attachSideways installs a hash join's build keys as zone checks on the
+// probe-side scan's controller, one sidewaysFilter per attached key. The
+// recharge factor is 2+len(projects): a pruned row would have charged the
+// scan emit, every project stage and the join's probe input. The probe
+// subtree must be a pure Project* chain over one Scan (a Filter would make
+// unmatched-row elimination observable upstream; anything else ends the
+// walk), the join must drop unmatched probe rows
 // (inner/semi — a LEFT JOIN NULL-extends them, so nothing may be skipped),
 // and each attached key must resolve through pure column aliases to a scan
 // column of the same kind as the build key (keysEqual equality implies
@@ -682,12 +534,13 @@ func (ex *executor) attachSideways(j *logical.Join, leftKeyExprs, rightKeyExprs 
 		return nil
 	}
 	ctrl := reg.ctrl
-	if len(ctrl.checks) > 0 || len(ctrl.sideways) > 0 {
+	if ctrl.active() {
 		// The leaf already carries a predicate configuration (defensive:
 		// the walk above admits no filter) — factors would conflict.
 		return nil
 	}
 	var filters []*sidewaysFilter
+	var checks []skipCheck
 	for ki, ke := range leftKeyExprs {
 		cr, ok := ke.(*expr.ColumnRef)
 		if !ok {
@@ -714,13 +567,11 @@ func (ex *executor) attachSideways(j *logical.Join, leftKeyExprs, rightKeyExprs 
 		if rightKeyExprs[ki].Type() != colKind(scan, id) {
 			continue
 		}
-		filters = append(filters, &sidewaysFilter{col: col, keyPos: ki, kind: rightKeyExprs[ki].Type()})
+		sf := &sidewaysFilter{keyPos: ki}
+		filters = append(filters, sf)
+		checks = append(checks, skipCheck{col: col, prunable: sf.prunable})
 	}
-	if len(filters) == 0 {
-		return nil
-	}
-	ctrl.factor = int64(2 + len(projects))
-	ctrl.sideways = filters
+	ctrl.configure(int64(2+len(projects)), checks)
 	return filters
 }
 

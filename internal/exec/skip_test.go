@@ -347,12 +347,11 @@ func TestSidewaysJoinFilter(t *testing.T) {
 	runSkipDiff(t, st, join(logical.LeftJoin), false)
 }
 
-func TestSidewaysBloomRefinement(t *testing.T) {
-	// Keys 105 and 2000: the build range [105, 2000] overlaps partitions 1
-	// (100..124, contains 105 — kept) and 2 (200..224 — min/max overlap but
-	// no value is in the bloom, so partition 2 prunes by bloom). Partitions
-	// 0 and 3 prune on min/max alone... partition 3 (300..324) lies inside
-	// [105, 2000] too, so it is also a bloom prune.
+func TestSidewaysMinMaxOverlap(t *testing.T) {
+	// Keys 105 and 2000: partition 0 (0..24) lies below the build range
+	// [105, 2000] and prunes; partitions 1 (holds 105), 2 and 3 overlap it
+	// and are kept, though 2 and 3 hold no build key. The filter decides on
+	// min/max alone.
 	st := skipFixture(t, []int64{105, 2000})
 	s := scanOf(t, st, "fact")
 	d := scanOf(t, st, "dim")
@@ -363,8 +362,61 @@ func TestSidewaysBloomRefinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Metrics.Skip.BloomPruned == 0 {
-		t.Fatalf("expected bloom prunes, Skip = %+v", got.Metrics.Skip)
+	if sk := got.Metrics.Skip; sk.PartitionsPruned != 1 || sk.BloomPruned != 0 {
+		t.Fatalf("Skip = %+v, want one partition pruned and no bloom prunes", sk)
+	}
+}
+
+// TestSidewaysFloatKeys joins fact.f_f to a DOUBLE build key. Per
+// partition f_f spans 0 → [-0, 12], 1 → [50, 62], 2 → [100, 112], 3 →
+// [150, 162] plus NaN rows, and an appended partition 4 holds only +0. A
+// NaN probe value matches only a NaN build key, and −0 and +0 compare
+// equal under the zone maps (they are distinct join keys), so a −0 build
+// key keeps both partition 0 and the +0 partition.
+func TestSidewaysFloatKeys(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name   string
+		keys   []float64
+		pruned int64
+	}{
+		{"nan-probe-only", []float64{51}, 4},
+		{"nan-both-sides", []float64{nan, 51}, 3},
+		{"neg-zero-build", []float64{negZero}, 3},
+	} {
+		st := skipFixture(t, nil)
+		var zeros [][]types.Value
+		for w := int64(0); w < 5; w++ {
+			zeros = append(zeros, []types.Value{types.Int(400 + w), types.Int(w), types.Float(0), types.String("s4"), types.Int(4)})
+		}
+		if err := st.Append("fact", zeros); err != nil {
+			t.Fatal(err)
+		}
+		st.Catalog().MustAdd(&catalog.Table{
+			Name:    "fdim",
+			Columns: []catalog.Column{{Name: "d_f", Type: types.KindFloat64}},
+		})
+		var keys [][]types.Value
+		for _, k := range tc.keys {
+			keys = append(keys, []types.Value{types.Float(k)})
+		}
+		if err := st.Load("fdim", keys); err != nil {
+			t.Fatal(err)
+		}
+		s := scanOf(t, st, "fact")
+		d := scanOf(t, st, "fdim")
+		plan := &logical.Join{Kind: logical.InnerJoin, Left: s, Right: d,
+			Cond: expr.Eq(expr.Ref(s.ColumnFor("f_f")), expr.Ref(d.ColumnFor("d_f")))}
+		runSkipDiff(t, st, plan, true)
+		for name, opts := range skipConfigs() {
+			got, err := RunWith(plan, st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := got.Metrics.Skip.PartitionsPruned; p != tc.pruned {
+				t.Fatalf("%s/%s: PartitionsPruned = %d, want %d", tc.name, name, p, tc.pruned)
+			}
+		}
 	}
 }
 

@@ -62,42 +62,52 @@ func TestGhostSetClearsWhenFull(t *testing.T) {
 	}
 }
 
-// TestDensityRejectRemembered: a fingerprint whose offer was too cheap is
-// not captured again while its table is unchanged. An append to another
-// table changes nothing; an append to its own table makes it capturable.
+// oversizeOffer offers what a capture abandoned past MaxEntryBytes offers:
+// no rows, only the byte count it reached.
+func oversizeOffer(tx *Tx) bool {
+	admitted, _ := tx.Offer(nil, tx.c.MaxEntryBytes()+1, CostMetrics{RowsScanned: 1 << 20})
+	return admitted
+}
+
+// TestDensityRejectRemembered: a fingerprint whose offer was too cheap, or
+// too large, is not captured again while its table is unchanged. An append
+// to another table changes nothing; an append to its own table makes it
+// capturable.
 func TestDensityRejectRemembered(t *testing.T) {
-	st := testStore(t)
-	c := New(1 << 20)
-	c.Begin(chainPlan(t, st, 5), st).Capture()
-	tx := c.Begin(chainPlan(t, st, 5), st)
-	if !tx.Capture() {
-		t.Fatal("second sight not captured")
-	}
-	if cheapOffer(tx) {
-		t.Fatal("cheap result admitted")
-	}
-	if c.Begin(chainPlan(t, st, 5), st).Capture() {
-		t.Fatal("fingerprint rejected for density captured again over the same partitions")
-	}
-	if err := st.Append("g", [][]types.Value{{types.Int(2)}}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Begin(chainPlan(t, st, 5), st).Capture() {
-		t.Fatal("append to another table made a density-rejected fingerprint capturable")
-	}
-	if err := st.Append("f", [][]types.Value{{types.Int(1), types.Int(99), types.Int(0)}}); err != nil {
-		t.Fatal(err)
-	}
-	tx = c.Begin(chainPlan(t, st, 5), st)
-	if !tx.Capture() {
-		t.Fatal("append to the scanned table left the fingerprint uncapturable")
-	}
-	// Admitted under the new partition set: the low mark is gone.
-	if !denseOffer(tx) {
-		t.Fatal("dense result rejected")
-	}
-	if !c.Begin(chainPlan(t, st, 5), st).Capture() {
-		t.Fatal("admitted fingerprint still marked low")
+	for name, reject := range map[string]func(*Tx) bool{"density": cheapOffer, "size": oversizeOffer} {
+		st := testStore(t)
+		c := New(1 << 20)
+		c.Begin(chainPlan(t, st, 5), st).Capture()
+		tx := c.Begin(chainPlan(t, st, 5), st)
+		if !tx.Capture() {
+			t.Fatalf("%s: second sight not captured", name)
+		}
+		if reject(tx) {
+			t.Fatalf("%s: result admitted", name)
+		}
+		if c.Begin(chainPlan(t, st, 5), st).Capture() {
+			t.Fatalf("%s: rejected fingerprint captured again over the same partitions", name)
+		}
+		if err := st.Append("g", [][]types.Value{{types.Int(2)}}); err != nil {
+			t.Fatal(err)
+		}
+		if c.Begin(chainPlan(t, st, 5), st).Capture() {
+			t.Fatalf("%s: append to another table made a rejected fingerprint capturable", name)
+		}
+		if err := st.Append("f", [][]types.Value{{types.Int(1), types.Int(99), types.Int(0)}}); err != nil {
+			t.Fatal(err)
+		}
+		tx = c.Begin(chainPlan(t, st, 5), st)
+		if !tx.Capture() {
+			t.Fatalf("%s: append to the scanned table left the fingerprint uncapturable", name)
+		}
+		// Admitted under the new partition set: the low mark is gone.
+		if !denseOffer(tx) {
+			t.Fatalf("%s: dense result rejected", name)
+		}
+		if !c.Begin(chainPlan(t, st, 5), st).Capture() {
+			t.Fatalf("%s: admitted fingerprint still marked low", name)
+		}
 	}
 }
 

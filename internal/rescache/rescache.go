@@ -20,8 +20,8 @@
 // Capture is on second sight: a miss copies its result for an Offer only
 // when the fingerprint has missed before (Tx.Capture). Most fresh-literal
 // sub-plans never repeat, so a first miss runs uncaptured and pays nothing;
-// a fingerprint whose last offer fell below the admission floor is not
-// copied again until its table's partition set changes.
+// a fingerprint whose last offer was too large or fell below the admission
+// floor is not copied again until its table's partition set changes.
 //
 // Eviction is GreedyDual-Size: each entry carries priority H = clock +
 // cost/bytes; eviction removes the minimum-H entry and advances the clock
@@ -41,13 +41,13 @@ import (
 // CostMetrics is the as-if-solo logical work a sub-plan performed to
 // produce its result — the counters a cache hit must replay so served
 // queries remain metric-identical to cold runs, and the numerator of the
-// admission density test.
+// admission density test. Physical counters (decode work, pipelines,
+// MaskPrefixHits) are not part of it: a hit does none of that work.
 type CostMetrics struct {
-	BytesScanned   int64
-	RowsScanned    int64
-	RowsProcessed  int64
-	HashRows       int64
-	MaskPrefixHits int64
+	BytesScanned  int64
+	RowsScanned   int64
+	RowsProcessed int64
+	HashRows      int64
 }
 
 // cost is the admission/eviction scalar: logical rows touched end to end.
@@ -96,9 +96,9 @@ type Cache struct {
 }
 
 // ghost is what the cache remembers of a fingerprint it has seen miss.
-// low marks one whose last offer was rejected for density; lowSig hashes
-// the partition-set signature that rejection was under (a hash, not the
-// signature: that is kilobytes on a fact table).
+// low marks one whose last offer was rejected for size or density; lowSig
+// hashes the partition-set signature that rejection was under (a hash, not
+// the signature: that is kilobytes on a fact table).
 type ghost struct {
 	low    bool
 	lowSig uint64
@@ -199,8 +199,8 @@ func (tx *Tx) Lookup() (*Entry, bool) {
 // "admit on second sight"). Later misses capture — a captured fingerprint
 // stays recorded, so an entry an append invalidated recaptures on its
 // first miss after the append — except while the fingerprint's last offer
-// was rejected for density under the table's current partition set: the
-// same rows at the same cost would be rejected again.
+// was rejected for size or density under the table's current partition
+// set: the same rows at the same cost would be rejected again.
 func (tx *Tx) Capture() bool {
 	c := tx.c
 	k := maphash.String(ghostSeed, tx.fp)
@@ -267,26 +267,27 @@ func (c *Cache) AdmissionFloor() float64 {
 // whether the entry was admitted and how many entry bytes were evicted to
 // make room; a rejection (cost density below the threshold, result too
 // large, or the table's partition set changed while the result was being
-// computed) evicts nothing. A density rejection is remembered against the
-// current partition set, so Capture declines the fingerprint until its
-// table changes.
+// computed) evicts nothing. A size or density rejection is remembered
+// against the current partition set, so Capture declines the fingerprint
+// until its table changes. A capture abandoned past MaxEntryBytes offers
+// nil rows with the byte count it reached.
 func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitted bool, evictedBytes int64) {
 	c := tx.c
-	if bytes > c.MaxEntryBytes() {
-		return false, 0
-	}
 	k := maphash.String(ghostSeed, tx.fp)
-	// Observe this sub-plan's decode cost BEFORE deciding, so the floor
-	// reflects the workload being offered, not just what was admitted.
 	c.mu.Lock()
-	c.obsBytes += cost.BytesScanned
-	c.obsRows += cost.RowsScanned
-	cheap := density(cost, bytes) < c.admissionFloorLocked()
-	if cheap {
+	reject := bytes > c.MaxEntryBytes()
+	if !reject {
+		// Observe this sub-plan's decode cost BEFORE deciding, so the floor
+		// reflects the workload being offered, not just what was admitted.
+		c.obsBytes += cost.BytesScanned
+		c.obsRows += cost.RowsScanned
+		reject = density(cost, bytes) < c.admissionFloorLocked()
+	}
+	if reject {
 		c.noteGhostLocked(k, ghost{low: true, lowSig: maphash.String(ghostSeed, tx.sig)})
 	}
 	c.mu.Unlock()
-	if cheap {
+	if reject {
 		return false, 0
 	}
 	// Snapshot validation: if the partition set changed since Begin, the

@@ -48,7 +48,6 @@ func (r *Runner) probeCache(live []*entry, batched int64) []*entry {
 		m.Storage.RowsScanned = ent.Cost.RowsScanned
 		m.RowsProcessed = ent.Cost.RowsProcessed
 		m.HashRows = ent.Cost.HashRows
-		m.MaskPrefixHits = ent.Cost.MaskPrefixHits
 		m.ResultCache = exec.ResultCacheMetrics{Hits: 1, ServedBytes: ent.Bytes}
 		m.SharedExec = exec.SharedExecMetrics{BatchedQueries: batched, FusedPlans: 1, WindowWaits: 1}
 		e.res = &exec.Result{Columns: e.cl.outCols, Rows: rows, Metrics: m}
